@@ -518,15 +518,20 @@ bool Reducer::SweepOverrides() {
       events[num_events++] = {okey_[i], 1, static_cast<int>(i)};
     }
   }
-  // Key-first comparison; the full code compare only breaks key ties, so
-  // the order (and hence the sweep) is exactly the pre-key order.
+  // Key-first comparison; the full code compare only breaks key ties.
+  // Rank breaks the remaining ties (several ops on one target), so the
+  // order is total: which of two same-target killers sits outermost on
+  // the stack — and is named in the O3/O4 event — never depends on the
+  // sort implementation or on which other ops share the array.
   std::sort(events, events + num_events,
             [this](const Event& a, const Event& b) {
               int c = BitString::CompareKeyed(
                   a.key, Op(a.op_index).target_label.start, b.key,
                   Op(b.op_index).target_label.start);
               if (c != 0) return c < 0;
-              return a.type < b.type;  // queries before opens at a node
+              if (a.type != b.type) return a.type < b.type;  // queries first
+              return rank_[static_cast<size_t>(a.op_index)] <
+                     rank_[static_cast<size_t>(b.op_index)];
             });
   // Stack of open killer intervals (op indices), innermost on top.
   struct OpenKiller {
