@@ -1,12 +1,14 @@
 // Ablation: the parallel shard-by-subtree reasoning engine.
 //
 // Workload: 10k operations over an XMark document large enough that the
-// targets fall into thousands of disjoint subtrees (shards), swept at
-// 1/2/4/8 worker threads for both reduction and integration. The
-// parallelism=1 rows take the sequential path and serve as the
+// targets fall into thousands of disjoint subtrees, swept at 1/2/4/8
+// worker threads for both reduction and integration. Reduce packs the
+// subtree components into at most 4 chunks per thread; the
+// parallelism=1 rows solve the whole PUL as one chunk and serve as the
 // speedup baseline; hardware with fewer cores than the thread count
 // flattens the curve. Each sweep dumps the engine's metrics registry as
-// JSON on stderr (shard counts, per-phase wall time, conflict tallies).
+// JSON on stderr (chunk/shard counts, per-phase wall time, conflict
+// tallies).
 
 #include <benchmark/benchmark.h>
 

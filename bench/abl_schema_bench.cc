@@ -157,7 +157,6 @@ void SchemaIntegrateLoop(benchmark::State& state,
                          bool use_schema) {
   std::vector<const pul::Pul*> refs{&puls[0], &puls[1]};
   core::IntegrateOptions options;
-  options.use_schema_analysis = use_schema;
   options.schema = use_schema ? &Xdtd() : nullptr;
   Metrics metrics;
   options.metrics = &metrics;

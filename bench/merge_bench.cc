@@ -119,7 +119,6 @@ void RunMerge(benchmark::State& state, size_t per_side, bool use_schema) {
   store::StoreOptions options = BenchStoreOptions();
   schema::Schema xmark_schema = schema::Schema::BuiltinXmark();
   branch::MergeOptions merge_options;
-  merge_options.use_schema_analysis = use_schema;
   merge_options.schema = use_schema ? &xmark_schema : nullptr;
   branch::MergeStats stats;
   uint64_t merges = 0;

@@ -5,11 +5,15 @@
 // times the pre-observability API (Reduce(pul, mode)) against the
 // options path with a null tracer on the Fig. 6b reduction workload —
 // interleaved, order alternated per trial, minimum-of-trials — and
-// fails (exit 1) beyond a 1% difference. Any future change that makes
-// the no-tracer configuration eagerly pay for tracing (forced
-// partitioning, unconditional id-string building, a hot-loop emission
-// that stops checking enabled()) lands on both sides' timings and on
-// the separately reported enabled-tracer ratio in the JSON artifact.
+// fails (exit 1) beyond a 1% difference. An enabled tracer partitions
+// the PUL to name one lane per component but solves the same single
+// chunk as the untraced call, so the separately reported
+// enabled-tracer ratio in the JSON artifact prices the partition plus
+// event building. Any future change that makes the no-tracer
+// configuration eagerly pay for tracing (partitioning at parallelism
+// 1, unconditional id-string building, a hot-loop emission that stops
+// checking for a null lane) lands on both sides' timings and on that
+// ratio.
 //
 // Not a Google-Benchmark binary on purpose: the check needs a hard
 // verdict and a repo-root JSON artifact, not statistics.

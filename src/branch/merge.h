@@ -41,10 +41,9 @@ namespace xupdate::branch {
 struct MergeOptions {
   // Reduce/Integrate parallelism (byte-deterministic across levels).
   int parallelism = 1;
-  // Schema tier 0 in front of the reconciliation's conflict detection:
-  // provably type-disjoint suffixes skip it with a byte-identical
-  // result (see core::IntegrateOptions). Requires `schema`.
-  bool use_schema_analysis = false;
+  // Schema tier 0 in front of the reconciliation's conflict detection,
+  // run when set: provably type-disjoint suffixes skip it with a
+  // byte-identical result (see core::IntegrateOptions).
   const schema::Schema* schema = nullptr;
   Metrics* metrics = nullptr;
   obs::Tracer* tracer = nullptr;

@@ -51,7 +51,6 @@ Status RunScheduleImpl(uint64_t seed, const SimOptions& options,
                            store::VersionStore::Open(dir, store_options));
   schema::Schema xmark_schema = schema::Schema::BuiltinXmark();
   MergeOptions merge_options;
-  merge_options.use_schema_analysis = options.use_schema_analysis;
   merge_options.schema =
       options.use_schema_analysis ? &xmark_schema : nullptr;
   merge_options.metrics = options.metrics;

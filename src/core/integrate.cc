@@ -8,7 +8,6 @@
 #include <string_view>
 #include <vector>
 
-#include "analysis/independence.h"
 #include "label/bitstring.h"
 #include "label/node_label.h"
 #include "obs/trace.h"
@@ -355,38 +354,11 @@ Result<IntegrationResult> Integrator::Run() {
     }
   }
 
-  // Fast-path body shared by the schema and static tiers: when every
-  // PUL pair is provably independent no conflict rule can fire, and
-  // Delta is simply the union of all operations — identical to what the
-  // detection path below produces with an empty conflict list, at a
-  // fraction of the cost.
-  auto merge_all = [this, tracing,
-                    &input_lane](const char* label,
-                                 const char* note) -> Result<IntegrationResult> {
-    if (tracing) {
-      input_lane.Emit(obs::EventKind::kFastPathTaken, label, {}, {}, note);
-    }
-    IntegrationResult result;
-    size_t j = 0;
-    for (const TaggedOp& t : tagged_) {
-      XUPDATE_RETURN_IF_ERROR(
-          result.merged.AdoptOp(t.owner->forest(), *t.op));
-      if (tracing) {
-        input_lane.Emit(obs::EventKind::kOpSurvived,
-                        pul::OpKindName(t.op->kind), {RefId(t.ref)},
-                        "merged#" + std::to_string(j));
-      }
-      ++j;
-    }
-    return result;
-  };
-
   // Schema tier (tier 0): one touched-type summary per PUL, one O(types)
   // set comparison per pair — no per-op sweep at all. Sound relative to
-  // documents conforming to the schema: a proven pair is one the static
-  // analyzer below would also call independent.
-  if (options_.use_schema_analysis && options_.schema != nullptr &&
-      puls_.size() >= 2) {
+  // documents conforming to the schema: a proven pair is one
+  // analysis::AnalyzeIndependence would also call independent.
+  if (options_.schema != nullptr && puls_.size() >= 2) {
     ScopedTimer timer(metrics, "integrate.schema_analysis_seconds");
     std::vector<schema::TypeSummary> summaries;
     summaries.reserve(puls_.size());
@@ -406,37 +378,30 @@ Result<IntegrationResult> Integrator::Run() {
       }
     }
     if (all_proven) {
+      // No conflict rule can fire, so Delta is the union of all
+      // operations — what detection would produce with no conflicts.
       if (metrics) {
         metrics->AddCounter("integrate.schema.skips");
         metrics->AddCounter("integrate.conflicts", 0);
       }
-      return merge_all("schema-independent",
-                       "all PUL pairs proven independent at type level");
-    }
-  }
-
-  if (options_.use_static_analysis && puls_.size() >= 2) {
-    ScopedTimer timer(metrics, "integrate.static_analysis_seconds");
-    bool all_independent = true;
-    for (size_t i = 0; i < puls_.size() && all_independent; ++i) {
-      for (size_t j = i + 1; j < puls_.size(); ++j) {
-        analysis::IndependenceReport verdict =
-            analysis::AnalyzeIndependence(*puls_[i], *puls_[j]);
-        if (verdict.verdict !=
-            analysis::IndependenceVerdict::kIndependent) {
-          all_independent = false;
-          break;
+      if (tracing) {
+        input_lane.Emit(obs::EventKind::kFastPathTaken, "schema-independent",
+                        {}, {},
+                        "all PUL pairs proven independent at type level");
+      }
+      IntegrationResult result;
+      size_t j = 0;
+      for (const TaggedOp& t : tagged_) {
+        XUPDATE_RETURN_IF_ERROR(
+            result.merged.AdoptOp(t.owner->forest(), *t.op));
+        if (tracing) {
+          input_lane.Emit(obs::EventKind::kOpSurvived,
+                          pul::OpKindName(t.op->kind), {RefId(t.ref)},
+                          "merged#" + std::to_string(j));
         }
-        if (metrics) metrics->AddCounter("integrate.static.independent_pairs");
+        ++j;
       }
-    }
-    if (all_independent) {
-      if (metrics) {
-        metrics->AddCounter("integrate.static.skips");
-        metrics->AddCounter("integrate.conflicts", 0);
-      }
-      return merge_all("static-independent",
-                       "all PUL pairs statically independent");
+      return result;
     }
   }
 
@@ -562,20 +527,14 @@ Result<IntegrationResult> Integrator::Run() {
   };
   {
     ScopedTimer timer(metrics, "integrate.detect_seconds");
-    if (options_.parallelism > 1 && num_shards > 1) {
-      ThreadPool* pool = options_.pool;
-      std::unique_ptr<ThreadPool> owned;
-      if (pool == nullptr) {
-        owned = std::make_unique<ThreadPool>(
-            std::min(static_cast<size_t>(options_.parallelism), num_shards));
-        pool = owned.get();
-      }
-      XUPDATE_RETURN_IF_ERROR(ParallelFor(pool, num_shards, scan_shard));
-    } else {
-      for (size_t s = 0; s < num_shards; ++s) {
-        XUPDATE_RETURN_IF_ERROR(scan_shard(s));
-      }
+    ThreadPool* pool = options_.parallelism > 1 ? options_.pool : nullptr;
+    std::unique_ptr<ThreadPool> owned;
+    if (pool == nullptr && options_.parallelism > 1 && num_shards > 1) {
+      owned = std::make_unique<ThreadPool>(
+          std::min(static_cast<size_t>(options_.parallelism), num_shards));
+      pool = owned.get();
     }
+    XUPDATE_RETURN_IF_ERROR(ParallelFor(pool, num_shards, scan_shard));
   }
 
   // The sequential engine lists every local conflict in document order

@@ -71,9 +71,9 @@ struct IntegrationResult {
 struct IntegrateOptions {
   // Worker threads for conflict detection. The target-group forest built
   // by Algorithm 1 splits at its roots into disjoint subtree shards
-  // (contiguous runs of groups in document order); with parallelism > 1
-  // the shards are scanned concurrently. Output — conflict list order
-  // included — is byte-identical to the sequential path for every value.
+  // (contiguous runs of groups in document order), scanned by one
+  // ParallelFor — inline at parallelism 1. Output — conflict list order
+  // included — is byte-identical for every value.
   int parallelism = 1;
   // Reused across calls when provided; otherwise a transient pool is
   // spawned per call when parallelism > 1.
@@ -81,21 +81,12 @@ struct IntegrateOptions {
   // Optional counters/timers sink (shard counts, conflict tallies,
   // per-phase wall time).
   Metrics* metrics = nullptr;
-  // Consults analysis::AnalyzeIndependence over every PUL pair first and
-  // skips conflict detection entirely when all pairs are statically
-  // independent (sound: the analyzer never claims independence for a
-  // pair the dynamic detector would conflict). The result — merged PUL
-  // bytes and conflict list — is identical to the default path; only
-  // the wall time and the metrics counters differ.
-  bool use_static_analysis = false;
-  // Tier 0 in front of conflict detection (and of use_static_analysis):
-  // one schema::InferTouchedTypes summary per PUL, one O(schema)
+  // When set, tier 0 runs in front of conflict detection: one
+  // schema::InferTouchedTypes summary per PUL, one O(schema)
   // set-disjointness verdict per pair. When every pair is proven
   // independent at the type level, conflict detection is skipped
-  // entirely; the result is byte-identical to the default path (the
+  // entirely; the result is byte-identical to the detection path (the
   // verdict is sound relative to documents conforming to `schema`).
-  // Requires `schema`; ignored when it is null.
-  bool use_schema_analysis = false;
   const schema::Schema* schema = nullptr;
   // Decision-provenance sink (obs/trace.h). Records per-PUL input
   // inventories, shard assignments, every detected conflict and every

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/predict.h"
 #include "label/bitstring.h"
 #include "label/node_label.h"
 #include "obs/trace.h"
@@ -72,37 +71,37 @@ struct PairApp {
 // left sibling); the A-D rules O3/O4 use one O(k log k) interval sweep
 // per pass — matching the paper's optimized algorithm (§3.1).
 //
-// With a `subset` the engine works on just those operations (indices
-// into input.ops()), reading the shared input forest but never touching
-// it — several Reducers over disjoint subsets may run concurrently.
-// Ranks are then the global listing indices, so shard survivors merge
-// into the same order the whole-PUL run produces.
+// The engine works on the `chunk` operations (indices into input.ops(),
+// in listing order), reading the shared input forest but never touching
+// it — several Reducers over disjoint chunks may run concurrently. Ranks
+// are the global listing indices, so chunk survivors merge into the same
+// order a whole-PUL run produces.
+//
+// `lanes` (tracing only) maps each listing rank to the trace lane of its
+// component. Rules never relate ops of two components, and a merged op
+// inherits a constituent's rank, so every event lands on one lane.
 class Reducer {
  public:
-  Reducer(const Pul& input, ReduceMode mode,
-          const std::vector<int>* subset = nullptr,
-          obs::TraceLane* lane = nullptr)
-      : input_(input), mode_(mode), subset_(subset), lane_(lane) {}
+  Reducer(const Pul& input, ReduceMode mode, const std::vector<int>& chunk,
+          const std::vector<obs::TraceLane*>* lanes)
+      : input_(input), mode_(mode), chunk_(chunk), lanes_(lanes) {}
 
   // Runs the rule fixpoint (the caller has already checked Definition 3
   // compatibility). Infallible by construction; returns Status to fit
   // the pool's exception-free task convention.
   Status RunRules();
 
-  // Survivors of the fixpoint in working-set order. `op` points into
-  // this Reducer and stays valid while it lives; `key` is filled (the <o
-  // sort key) only in canonical mode.
+  // Survivors of the fixpoint in working-set order. `op` and `key` point
+  // into this Reducer and stay valid while it lives; `key` (the <o sort
+  // key) is set only in canonical mode.
   struct Survivor {
     size_t rank;
-    std::string key;
+    const std::string* key;
     const UpdateOp* op;
   };
   void CollectSurvivors(std::vector<Survivor>* out);
 
   size_t rule_applications() const { return applications_; }
-
-  // Sequential assembly of the surviving operations into a fresh PUL.
-  Result<Pul> Assemble();
 
  private:
   bool Alive(int i) const { return alive_[static_cast<size_t>(i)] != 0; }
@@ -124,15 +123,22 @@ class Reducer {
     return "#" + std::to_string(rank_[static_cast<size_t>(i)]);
   }
 
+  // Trace lane of op i's component; null when not tracing.
+  obs::TraceLane* Lane(int i) const {
+    return lanes_ == nullptr ? nullptr
+                             : (*lanes_)[rank_[static_cast<size_t>(i)]];
+  }
+
   // rule-fired event with no result = pure kill: ops[0] overrides
   // ops[1].
   void EmitKill(const char* rule, int killer, int victim) {
-    if (lane_ == nullptr || !lane_->enabled()) return;
-    lane_->Emit(obs::EventKind::kRuleFired, rule, {Id(killer), Id(victim)},
-                {},
-                std::string(pul::OpKindName(Op(killer).kind)) +
-                    " overrides " +
-                    std::string(pul::OpKindName(Op(victim).kind)));
+    obs::TraceLane* lane = Lane(victim);
+    if (lane == nullptr) return;
+    lane->Emit(obs::EventKind::kRuleFired, rule, {Id(killer), Id(victim)},
+               {},
+               std::string(pul::OpKindName(Op(killer).kind)) +
+                   " overrides " +
+                   std::string(pul::OpKindName(Op(victim).kind)));
   }
 
   int AddMerged(UpdateOp op, size_t rank) {
@@ -184,9 +190,9 @@ class Reducer {
     Kill(first);
     if (second != first) alive_[static_cast<size_t>(second)] = 0;
     int index = AddMerged(std::move(merged), rank);
-    if (lane_ != nullptr && lane_->enabled()) {
-      lane_->Emit(obs::EventKind::kRuleFired, rule, {Id(first), Id(second)},
-                  Id(index), std::string(pul::OpKindName(result_kind)));
+    if (obs::TraceLane* lane = Lane(index)) {
+      lane->Emit(obs::EventKind::kRuleFired, rule, {Id(first), Id(second)},
+                 Id(index), std::string(pul::OpKindName(result_kind)));
     }
     Enqueue(index);
   }
@@ -226,7 +232,7 @@ class Reducer {
 
   const Pul& input_;
   ReduceMode mode_;
-  const std::vector<int>* subset_;
+  const std::vector<int>& chunk_;
   std::vector<const UpdateOp*> view_;  // op i; aliases input_ or owned_
   std::deque<UpdateOp> owned_;         // merged + stage-10-rewritten ops
   std::vector<uint64_t> okey_;         // cached start-code order keys
@@ -242,7 +248,7 @@ class Reducer {
   std::deque<std::string> key_cache_;
   std::vector<char> key_computed_;
   pul::Arena arena_;  // sweep-event scratch, recycled between passes
-  obs::TraceLane* lane_;
+  const std::vector<obs::TraceLane*>* lanes_;
   size_t applications_ = 0;
 };
 
@@ -856,68 +862,22 @@ bool Reducer::CanonicalStageStep(int stage) {
   return false;
 }
 
-// Survivors are emitted in the <o order for canonical mode and in rank
-// order (the listing position of the earliest operation folded into each
-// survivor — unique, since merge constituent sets are disjoint) for the
-// other modes. Both orders depend only on the final operation set, never
-// on the rule-application interleaving, which keeps the output
-// byte-deterministic across platforms and makes the parallel shard merge
-// coincide with the sequential path.
-Result<Pul> Reducer::Assemble() {
-  Pul out;
-  out.set_policies(input_.policies());
-  out.BindIdSpace(1);  // ids preserved on adoption; floor irrelevant
-  std::vector<int> order;
-  order.reserve(NumOps());
-  for (size_t i = 0; i < NumOps(); ++i) {
-    if (Alive(static_cast<int>(i))) order.push_back(static_cast<int>(i));
-  }
-  if (mode_ == ReduceMode::kCanonical) {
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      const std::string& ka = OpKey(a);
-      const std::string& kb = OpKey(b);
-      if (ka != kb) return ka < kb;
-      return rank_[static_cast<size_t>(a)] < rank_[static_cast<size_t>(b)];
-    });
-  } else {
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      return rank_[static_cast<size_t>(a)] < rank_[static_cast<size_t>(b)];
-    });
-  }
-  for (int i : order) {
-    XUPDATE_RETURN_IF_ERROR(out.AdoptOp(input_.forest(), Op(i)));
-  }
-  return out;
-}
-
 void Reducer::CollectSurvivors(std::vector<Survivor>* out) {
   for (size_t i = 0; i < NumOps(); ++i) {
     int idx = static_cast<int>(i);
     if (!Alive(idx)) continue;
-    Survivor s;
-    s.rank = rank_[i];
-    if (mode_ == ReduceMode::kCanonical) s.key = OpKey(idx);
-    s.op = view_[i];
-    out->push_back(std::move(s));
+    out->push_back({rank_[i],
+                    mode_ == ReduceMode::kCanonical ? &OpKey(idx) : nullptr,
+                    view_[i]});
   }
 }
 
 Status Reducer::RunRules() {
-  if (subset_ != nullptr) {
-    view_.reserve(subset_->size());
-    rank_.reserve(subset_->size());
-    for (int global : *subset_) {
-      rank_.push_back(static_cast<size_t>(global));
-      view_.push_back(&input_.ops()[static_cast<size_t>(global)]);
-    }
-  } else {
-    const std::vector<UpdateOp>& ops = input_.ops();
-    view_.reserve(ops.size());
-    rank_.resize(ops.size());
-    for (size_t i = 0; i < ops.size(); ++i) {
-      rank_[i] = i;
-      view_.push_back(&ops[i]);
-    }
+  view_.reserve(chunk_.size());
+  rank_.reserve(chunk_.size());
+  for (int global : chunk_) {
+    rank_.push_back(static_cast<size_t>(global));
+    view_.push_back(&input_.ops()[static_cast<size_t>(global)]);
   }
   okey_.reserve(view_.size());
   for (const UpdateOp* op : view_) {
@@ -959,10 +919,10 @@ Status Reducer::RunRules() {
         owned_.push_back(std::move(rewritten));
         view_[i] = &owned_.back();
         ++applications_;
-        if (lane_ != nullptr && lane_->enabled()) {
+        if (obs::TraceLane* lane = Lane(static_cast<int>(i))) {
           int idx = static_cast<int>(i);
-          lane_->Emit(obs::EventKind::kRuleFired, "S10", {Id(idx)}, Id(idx),
-                      "insInto -> insFirst");
+          lane->Emit(obs::EventKind::kRuleFired, "S10", {Id(idx)}, Id(idx),
+                     "insInto -> insFirst");
         }
       }
     }
@@ -1070,158 +1030,146 @@ std::vector<std::vector<int>> PartitionByTargetSubtree(const Pul& input) {
   return shards;
 }
 
+// Chunks per worker thread: enough slack for uneven chunk runtimes to
+// balance out across the pool, few enough that per-Reducer setup stays
+// negligible next to the rule work.
+constexpr size_t kChunksPerThread = 4;
+
+// Packs the components (in first-op order) into at most
+// kChunksPerThread * parallelism contiguous runs of roughly equal op
+// count. A component is never split, so one larger than the per-chunk
+// target forms a chunk of its own. Returns the first component of each
+// chunk followed by components.size() as the end sentinel.
+std::vector<size_t> PackChunks(const std::vector<std::vector<int>>& components,
+                               size_t num_ops, int parallelism) {
+  size_t max_chunks = kChunksPerThread * static_cast<size_t>(parallelism);
+  size_t target = (num_ops + max_chunks - 1) / max_chunks;
+  std::vector<size_t> begins;
+  size_t filled = target;  // opens a chunk at the first component
+  for (size_t c = 0; c < components.size(); ++c) {
+    if (filled >= target) {
+      begins.push_back(c);
+      filled = 0;
+    }
+    filled += components[c].size();
+  }
+  begins.push_back(components.size());
+  return begins;
+}
+
 }  // namespace
 
 Result<pul::Pul> Reduce(const pul::Pul& input, const ReduceOptions& options,
                         ReduceStats* stats) {
   XUPDATE_RETURN_IF_ERROR(input.CheckCompatible());
   if (stats != nullptr) *stats = ReduceStats{};
-
-  // Static fast path: if no rule relation exists between any two ops the
-  // fixpoint is empty and (for the non-reordering modes, absent the
-  // stage-10 insInto rewrite) the reduced PUL is the input verbatim.
-  if (options.use_static_analysis &&
-      options.mode != ReduceMode::kCanonical) {
-    ScopedTimer timer(options.metrics, "reduce.static_analysis_seconds");
-    analysis::ReductionPrediction prediction =
-        analysis::PredictReduction(input);
-    if (prediction.no_rule_can_fire &&
-        (options.mode == ReduceMode::kPlain || !prediction.has_ins_into)) {
-      // Rebuilt the way Assemble does (rank order == listing order here)
-      // so the bytes match the engine path exactly.
-      pul::Pul out;
-      out.set_policies(input.policies());
-      out.BindIdSpace(1);
-      for (const UpdateOp& op : input.ops()) {
-        XUPDATE_RETURN_IF_ERROR(out.AdoptOp(input.forest(), op));
-      }
-      if (options.tracer != nullptr) {
-        obs::TraceLane lane =
-            options.tracer->Lane(options.tracer->NextPhase(), 0, "reduce");
-        lane.Emit(obs::EventKind::kFastPathTaken, "static-identity", {}, {},
-                  "no Figure 2 rule can fire");
-        for (size_t i = 0; i < input.size(); ++i) {
-          lane.Emit(obs::EventKind::kOpSurvived,
-                    pul::OpKindName(input.ops()[i].kind),
-                    {"#" + std::to_string(i)}, "out#" + std::to_string(i));
-        }
-      }
-      if (stats != nullptr) {
-        stats->input_ops = input.size();
-        stats->output_ops = out.size();
-        stats->rule_applications = 0;
-        stats->shards = 1;
-      }
-      if (options.metrics != nullptr) {
-        options.metrics->AddCounter("reduce.calls");
-        options.metrics->AddCounter("reduce.input_ops", input.size());
-        options.metrics->AddCounter("reduce.static.identity_skips");
-        options.metrics->AddCounter("reduce.shards");
-        options.metrics->AddCounter("reduce.output_ops", out.size());
-        options.metrics->AddCounter("reduce.rule_applications", 0);
-      }
-      return out;
-    }
+  Metrics* metrics = options.metrics;
+  if (metrics != nullptr) {
+    metrics->AddCounter("reduce.calls");
+    metrics->AddCounter("reduce.input_ops", input.size());
   }
-
-  std::vector<std::vector<int>> shards;
-  obs::Tracer* tracer = options.tracer;
+  const size_t n = input.size();
+  // An empty PUL has no decisions to journal.
+  obs::Tracer* tracer = n > 0 ? options.tracer : nullptr;
   const bool tracing = tracer != nullptr;
-  // Tracing forces the shard path even at parallelism 1: the shard
-  // structure is a function of the input alone, so forcing it makes the
-  // journal byte-identical across every thread count.
-  bool want_parallel = tracing
-                           ? input.size() > 0
-                           : (options.parallelism > 1 && input.size() > 1);
+
+  // Components are needed to pack chunks (parallelism > 1) and to name
+  // the trace lanes (one per component, at every parallelism).
+  std::vector<std::vector<int>> components;
   obs::TraceLane partition_lane;
-  if (tracing && want_parallel) {
-    partition_lane = tracer->Lane(tracer->NextPhase(), 0, "reduce");
-  }
-  if (want_parallel) {
+  if (tracing) partition_lane = tracer->Lane(tracer->NextPhase(), 0, "reduce");
+  if (tracing || (options.parallelism > 1 && n > 1)) {
     obs::TraceSpan span(&partition_lane, "partition");
-    ScopedTimer timer(options.metrics, "reduce.partition_seconds");
-    shards = PartitionByTargetSubtree(input);
-  }
-  if (options.metrics != nullptr) {
-    options.metrics->AddCounter("reduce.calls");
-    options.metrics->AddCounter("reduce.input_ops", input.size());
+    ScopedTimer timer(metrics, "reduce.partition_seconds");
+    components = PartitionByTargetSubtree(input);
   }
 
-  if (!want_parallel || (!tracing && shards.size() <= 1)) {
-    Reducer reducer(input, options.mode);
-    {
-      ScopedTimer timer(options.metrics, "reduce.rules_seconds");
-      XUPDATE_RETURN_IF_ERROR(reducer.RunRules());
+  // chunk c solves components [chunk_begin[c], chunk_begin[c + 1]). At
+  // parallelism 1 the whole PUL is one chunk.
+  std::vector<size_t> chunk_begin = {0, components.size()};
+  if (options.parallelism > 1 && components.size() > 1) {
+    chunk_begin = PackChunks(components, n, options.parallelism);
+  }
+  const size_t num_chunks = chunk_begin.size() - 1;
+  // Per-chunk op lists, in listing order. Ops start in chunk 0; the
+  // components of every later chunk are marked below.
+  std::vector<uint32_t> chunk_of(n, 0);
+  for (size_t c = 1; c < num_chunks; ++c) {
+    for (size_t k = chunk_begin[c]; k < chunk_begin[c + 1]; ++k) {
+      for (int i : components[k]) {
+        chunk_of[static_cast<size_t>(i)] = static_cast<uint32_t>(c);
+      }
     }
-    ScopedTimer timer(options.metrics, "reduce.merge_seconds");
-    XUPDATE_ASSIGN_OR_RETURN(pul::Pul out, reducer.Assemble());
-    if (stats != nullptr) {
-      stats->input_ops = input.size();
-      stats->output_ops = out.size();
-      stats->rule_applications = reducer.rule_applications();
-      stats->shards = 1;
-    }
-    if (options.metrics != nullptr) {
-      options.metrics->AddCounter("reduce.shards");
-      options.metrics->AddCounter("reduce.output_ops", out.size());
-      options.metrics->AddCounter("reduce.rule_applications",
-                                  reducer.rule_applications());
-    }
-    return out;
+  }
+  std::vector<std::vector<int>> chunk_ops(num_chunks);
+  for (size_t i = 0; i < n; ++i) {
+    chunk_ops[chunk_of[i]].push_back(static_cast<int>(i));
   }
 
-  // One rules-phase lane per shard. The lanes are created (and the
-  // shard-assigned inventory emitted) on the coordinating thread, then
-  // each lane is handed to exactly one pool task — the task queue
-  // supplies the happens-before edge for the lane's seq counter.
-  std::vector<obs::TraceLane> shard_lanes;
+  // One rules-phase lane per component, created (with its shard-assigned
+  // inventory) on the coordinating thread. A component lies in exactly
+  // one chunk, so each lane is handed to exactly one pool task — the
+  // task queue supplies the happens-before edge for its seq counter.
+  std::vector<obs::TraceLane> lanes;
+  std::vector<obs::TraceLane*> lane_of_rank;
   if (tracing) {
     uint32_t rules_phase = tracer->NextPhase();
-    shard_lanes.reserve(shards.size());
-    for (size_t s = 0; s < shards.size(); ++s) {
-      shard_lanes.push_back(
+    lanes.reserve(components.size());
+    lane_of_rank.resize(n);
+    for (size_t s = 0; s < components.size(); ++s) {
+      lanes.push_back(
           tracer->Lane(rules_phase, static_cast<uint32_t>(s) + 1, "reduce"));
       std::vector<std::string> ids;
-      ids.reserve(shards[s].size());
-      for (int g : shards[s]) ids.push_back("#" + std::to_string(g));
-      shard_lanes[s].Emit(obs::EventKind::kShardAssigned, "shard",
-                          std::move(ids));
+      ids.reserve(components[s].size());
+      for (int g : components[s]) {
+        ids.push_back("#" + std::to_string(g));
+        lane_of_rank[static_cast<size_t>(g)] = &lanes[s];
+      }
+      lanes[s].Emit(obs::EventKind::kShardAssigned, "shard", std::move(ids));
     }
   }
 
   std::vector<std::unique_ptr<Reducer>> reducers;
-  reducers.reserve(shards.size());
-  for (size_t s = 0; s < shards.size(); ++s) {
+  reducers.reserve(num_chunks);
+  for (size_t c = 0; c < num_chunks; ++c) {
     reducers.push_back(std::make_unique<Reducer>(
-        input, options.mode, &shards[s],
-        tracing ? &shard_lanes[s] : nullptr));
+        input, options.mode, chunk_ops[c], tracing ? &lane_of_rank : nullptr));
   }
   {
-    ScopedTimer timer(options.metrics, "reduce.rules_seconds");
+    ScopedTimer timer(metrics, "reduce.rules_seconds");
+    // Several chunks only exist at parallelism > 1; one chunk runs inline.
     ThreadPool* pool = options.pool;
     std::unique_ptr<ThreadPool> local_pool;
-    if (pool == nullptr && options.parallelism > 1) {
-      size_t workers = std::min<size_t>(
-          static_cast<size_t>(options.parallelism), shards.size());
-      local_pool = std::make_unique<ThreadPool>(workers);
+    if (pool == nullptr && num_chunks > 1) {
+      local_pool = std::make_unique<ThreadPool>(std::min<size_t>(
+          static_cast<size_t>(options.parallelism), num_chunks));
       pool = local_pool.get();
     }
-    Metrics* metrics = options.metrics;
-    XUPDATE_RETURN_IF_ERROR(ParallelFor(
-        pool, reducers.size(),
-        [&reducers, &shard_lanes, tracing, metrics](size_t s) {
-          obs::TraceSpan span(tracing ? &shard_lanes[s] : nullptr,
-                              "shard-solve");
-          ScopedTimer shard_timer(metrics, "reduce.shard_solve_seconds");
-          return reducers[s]->RunRules();
-        }));
+    // Every component lane of a chunk brackets the chunk's solve.
+    auto emit_spans = [&](size_t c, obs::EventKind kind) {
+      if (!tracing) return;
+      for (size_t s = chunk_begin[c]; s < chunk_begin[c + 1]; ++s) {
+        lanes[s].Emit(kind, "shard-solve");
+      }
+    };
+    XUPDATE_RETURN_IF_ERROR(ParallelFor(pool, num_chunks, [&](size_t c) {
+      ScopedTimer chunk_timer(metrics, "reduce.shard_solve_seconds");
+      emit_spans(c, obs::EventKind::kSpanBegin);
+      Status status = reducers[c]->RunRules();
+      emit_spans(c, obs::EventKind::kSpanEnd);
+      return status;
+    }));
   }
 
+  // Survivors are emitted in the <o order for canonical mode and in rank
+  // order (the listing position of the earliest operation folded into
+  // each survivor — unique, since merge constituent sets are disjoint)
+  // for the other modes. Both orders depend only on the final operation
+  // set, never on the rule-application interleaving or the chunking, so
+  // the output is byte-identical at every parallelism.
   obs::TraceLane merge_lane;
-  if (tracing) {
-    merge_lane = tracer->Lane(tracer->NextPhase(), 0, "reduce");
-  }
-  ScopedTimer timer(options.metrics, "reduce.merge_seconds");
+  if (tracing) merge_lane = tracer->Lane(tracer->NextPhase(), 0, "reduce");
+  ScopedTimer timer(metrics, "reduce.merge_seconds");
   obs::TraceSpan merge_span(&merge_lane, "merge");
   std::vector<Reducer::Survivor> survivors;
   size_t applications = 0;
@@ -1232,7 +1180,7 @@ Result<pul::Pul> Reduce(const pul::Pul& input, const ReduceOptions& options,
   if (options.mode == ReduceMode::kCanonical) {
     std::sort(survivors.begin(), survivors.end(),
               [](const Reducer::Survivor& a, const Reducer::Survivor& b) {
-                if (a.key != b.key) return a.key < b.key;
+                if (*a.key != *b.key) return *a.key < *b.key;
                 return a.rank < b.rank;
               });
   } else {
@@ -1256,15 +1204,15 @@ Result<pul::Pul> Reduce(const pul::Pul& input, const ReduceOptions& options,
     }
   }
   if (stats != nullptr) {
-    stats->input_ops = input.size();
+    stats->input_ops = n;
     stats->output_ops = out.size();
     stats->rule_applications = applications;
-    stats->shards = shards.size();
+    stats->shards = num_chunks;
   }
-  if (options.metrics != nullptr) {
-    options.metrics->AddCounter("reduce.shards", shards.size());
-    options.metrics->AddCounter("reduce.output_ops", out.size());
-    options.metrics->AddCounter("reduce.rule_applications", applications);
+  if (metrics != nullptr) {
+    metrics->AddCounter("reduce.shards", num_chunks);
+    metrics->AddCounter("reduce.output_ops", out.size());
+    metrics->AddCounter("reduce.rule_applications", applications);
   }
   return out;
 }

@@ -43,8 +43,8 @@ struct ReduceStats {
   size_t input_ops = 0;
   size_t output_ops = 0;
   size_t rule_applications = 0;
-  // Independent shards the input partitioned into (1 on the sequential
-  // path).
+  // Chunks the engine solved: 1 at parallelism 1; otherwise at most
+  // 4 * parallelism and at most the number of independent components.
   size_t shards = 0;
 };
 
@@ -54,40 +54,36 @@ struct ReduceStats {
 
 struct ReduceOptions {
   ReduceMode mode = ReduceMode::kPlain;
-  // Number of worker threads for the shard-by-subtree parallel engine.
-  // 1 (the default) takes the sequential path; higher values partition
-  // the PUL into independent shards via containment-label subtree
-  // disjointness and reduce them concurrently. The output is
-  // byte-identical to the sequential path for every value.
+  // Worker threads. At 1 (the default) the whole PUL is one chunk and
+  // no partition runs. Higher values partition the PUL into independent
+  // components via containment-label subtree disjointness, pack them
+  // into at most 4 * parallelism chunks of roughly equal op count, and
+  // solve the chunks concurrently. The output is byte-identical for
+  // every value.
   int parallelism = 1;
   // Reused across calls when provided; otherwise a transient pool is
   // spawned per call when parallelism > 1.
   ThreadPool* pool = nullptr;
-  // Optional counters/timers sink (shard counts, per-phase wall time).
+  // Optional counters/timers sink (chunk counts, per-phase wall time).
   Metrics* metrics = nullptr;
-  // Consults analysis::PredictReduction first and skips the rule engine
-  // when the reduction is provably the identity (no two operations are
-  // related by any Figure 2 rule relation; for kDeterministic mode also
-  // no insInto to rewrite). The output is byte-identical to the engine
-  // path. kCanonical mode never skips (it reorders the listing).
-  bool use_static_analysis = false;
   // Decision-provenance sink (obs/trace.h). When set, every rule firing,
   // override kill, shard assignment and surviving operation is recorded
-  // under stable listing-rank ids ("#12"). To keep the journal
-  // byte-identical across parallelism levels the engine then always
-  // partitions and takes the shard path (shard structure is a function
-  // of the input alone), so `stats->shards` reports the true shard count
-  // even at parallelism 1. The output PUL is unaffected.
+  // under stable listing-rank ids ("#12"), on one lane per component.
+  // Naming the lanes partitions the PUL even at parallelism 1, but the
+  // engine solves exactly the chunks an untraced call would, so the
+  // journal is byte-identical across parallelism levels and tracing
+  // changes neither the path nor the output.
   obs::Tracer* tracer = nullptr;
 };
 
-// Reduce with engine knobs. Operations are partitioned by the targets'
-// containment labels: two operations land in the same shard iff they are
-// connected through same-target / parent / adjacent-sibling /
-// ancestor-containment links — exactly the relations the Figure 2 rules
-// and override sweeps can act across — so per-shard fixpoints compose to
-// the global one and the deterministic merge (listing-rank order, or the
-// canonical <o order) reproduces the sequential output byte for byte.
+// Reduce with engine knobs. There is one solve path: partition, pack into
+// chunks, run one rule fixpoint per chunk, merge the survivors. Two
+// operations land in the same component iff they are connected through
+// same-target / parent / adjacent-sibling / ancestor-containment links —
+// exactly the relations the Figure 2 rules and override sweeps can act
+// across — so per-chunk fixpoints compose to the global one and the
+// deterministic merge (listing-rank order, or the canonical <o order)
+// yields the same bytes however the components are chunked.
 [[nodiscard]] Result<pul::Pul> Reduce(const pul::Pul& input,
                                       const ReduceOptions& options,
                                       ReduceStats* stats = nullptr);

@@ -336,7 +336,6 @@ TEST_F(BranchMergeTest, SchemaTierMergesByteIdenticalOnXmark) {
             .CommitOnBranch("w", xmark_edit(**doc, 22, id_base + (1 << 16)))
             .ok());
     MergeOptions options;
-    options.use_schema_analysis = mode == 1;
     options.schema = mode == 1 ? &schema : nullptr;
     auto result = Merge(&store, "main", "w", options);
     ASSERT_TRUE(result.ok()) << result.status();

@@ -1,6 +1,6 @@
 // The parallel shard-by-subtree engines must be invisible: for every
 // parallelism level the reduced PUL, the merged PUL and the conflict
-// list are byte-identical to the sequential path.
+// list are byte-identical to the parallelism-1 run.
 
 #include <gtest/gtest.h>
 
@@ -71,7 +71,7 @@ std::string ConflictsToString(const std::vector<Conflict>& conflicts) {
 }
 
 // 100 seeded random PULs; for each, every parallelism level and every
-// reduce mode must reproduce the sequential bytes.
+// reduce mode must reproduce the parallelism-1 bytes.
 TEST_F(ParallelDeterminismTest, ReduceMatchesSequentialOn100RandomPuls) {
   const ReduceMode kModes[] = {ReduceMode::kPlain, ReduceMode::kDeterministic,
                                ReduceMode::kCanonical};
@@ -103,9 +103,69 @@ TEST_F(ParallelDeterminismTest, ReduceMatchesSequentialOn100RandomPuls) {
       }
     }
   }
-  // The workloads must actually exercise the parallel path, not fall
-  // back to the sequential one.
+  // The workloads must actually be split into several chunks.
   EXPECT_GT(sharded_runs, 0u);
+}
+
+// One component far larger than the per-chunk target (100 insLast ops on
+// one node, which I5 folds into a single survivor) next to the small
+// components of a seeded PUL. Packing must keep the component whole: a
+// split would leave two merged survivors and change the bytes. Alone,
+// the component is one chunk at every parallelism.
+TEST_F(ParallelDeterminismTest, ReducePackingNeverSplitsAComponent) {
+  PulGenerator gen(*doc_, *labeling_, 17);
+  PulGenerator::PulOptions options;
+  options.num_ops = 120;
+  options.reducible_fraction = 0.3;
+  auto generated = gen.Generate(options);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  xml::NodeId parent = xml::kInvalidNode;
+  for (const pul::UpdateOp& op : generated->ops()) {
+    if (op.target_label.valid() && op.target_label.parent != xml::kInvalidNode) {
+      parent = op.target_label.parent;
+      break;
+    }
+  }
+  ASSERT_NE(parent, xml::kInvalidNode);
+  Pul mixed = *generated;
+  Pul alone;
+  alone.BindIdSpace(doc_->max_assigned_id() + 1);
+  for (int k = 0; k < 100; ++k) {
+    std::string text = "t" + std::to_string(k);
+    ASSERT_TRUE(mixed
+                    .AddTreeOp(pul::OpKind::kInsLast, parent, *labeling_,
+                               {mixed.NewTextParam(text)})
+                    .ok());
+    ASSERT_TRUE(alone
+                    .AddTreeOp(pul::OpKind::kInsLast, parent, *labeling_,
+                               {alone.NewTextParam(text)})
+                    .ok());
+  }
+
+  for (ReduceMode mode : {ReduceMode::kPlain, ReduceMode::kCanonical}) {
+    ReduceOptions sequential;
+    sequential.mode = mode;
+    auto base = Reduce(mixed, sequential);
+    ASSERT_TRUE(base.ok()) << base.status();
+    for (int parallelism : {2, 4, 8}) {
+      ReduceOptions opts = sequential;
+      opts.parallelism = parallelism;
+      ReduceStats stats;
+      auto reduced = Reduce(mixed, opts, &stats);
+      ASSERT_TRUE(reduced.ok()) << reduced.status();
+      EXPECT_EQ(Serialized(*reduced), Serialized(*base))
+          << "mode " << static_cast<int>(mode) << " parallelism "
+          << parallelism;
+      EXPECT_GT(stats.shards, 1u);
+      EXPECT_LE(stats.shards, 4u * static_cast<size_t>(parallelism));
+
+      ReduceStats alone_stats;
+      auto alone_reduced = Reduce(alone, opts, &alone_stats);
+      ASSERT_TRUE(alone_reduced.ok()) << alone_reduced.status();
+      EXPECT_EQ(alone_stats.shards, 1u) << "parallelism " << parallelism;
+      EXPECT_EQ(alone_reduced->size(), 1u);
+    }
+  }
 }
 
 TEST_F(ParallelDeterminismTest, ReduceWithSharedPoolAndMetrics) {
@@ -160,46 +220,6 @@ TEST_F(ParallelDeterminismTest, IntegrateMatchesSequentialOnConflictSweeps) {
           << "seed " << seed << " parallelism " << parallelism;
       EXPECT_EQ(ConflictsToString(result->conflicts), base_conflicts)
           << "seed " << seed << " parallelism " << parallelism;
-    }
-
-    // The static-analysis fast path must be just as invisible as the
-    // parallel engine, whether or not it manages to skip detection.
-    IntegrateOptions with_analysis;
-    with_analysis.use_static_analysis = true;
-    auto analyzed = Integrate(refs, with_analysis);
-    ASSERT_TRUE(analyzed.ok()) << analyzed.status();
-    EXPECT_EQ(Serialized(analyzed->merged), base_merged) << "seed " << seed;
-    EXPECT_EQ(ConflictsToString(analyzed->conflicts), base_conflicts)
-        << "seed " << seed;
-  }
-}
-
-// Reduce's static identity skip across the determinism workloads: for
-// every seed and mode the output must match the default path, byte for
-// byte, whether or not the skip engages.
-TEST_F(ParallelDeterminismTest, ReduceStaticAnalysisIsByteIdentical) {
-  const ReduceMode kModes[] = {ReduceMode::kPlain, ReduceMode::kDeterministic,
-                               ReduceMode::kCanonical};
-  for (uint64_t seed = 1; seed <= 40; ++seed) {
-    PulGenerator gen(*doc_, *labeling_, seed);
-    PulGenerator::PulOptions options;
-    options.num_ops = 80;
-    // Low density on even seeds so some workloads are irreducible and
-    // actually take the identity skip.
-    options.reducible_fraction = (seed % 2 == 0) ? 0.0 : 0.3;
-    auto pul = gen.Generate(options);
-    ASSERT_TRUE(pul.ok()) << pul.status();
-    for (ReduceMode mode : kModes) {
-      ReduceOptions plain;
-      plain.mode = mode;
-      auto base = Reduce(*pul, plain);
-      ASSERT_TRUE(base.ok()) << base.status();
-      ReduceOptions fast = plain;
-      fast.use_static_analysis = true;
-      auto result = Reduce(*pul, fast);
-      ASSERT_TRUE(result.ok()) << result.status();
-      EXPECT_EQ(Serialized(*result), Serialized(*base))
-          << "seed " << seed << " mode " << static_cast<int>(mode);
     }
   }
 }

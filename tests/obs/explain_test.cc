@@ -123,7 +123,7 @@ TEST(ExplainTest, CollectsFastPathsAndConflicts) {
   uint32_t phase = tracer.NextPhase();
   TraceLane lane = tracer.Lane(phase, 0, "integrate");
   lane.Emit(EventKind::kNote, "input", {"P0#0", "P1#0"});
-  lane.Emit(EventKind::kFastPathTaken, "static-independent", {}, {},
+  lane.Emit(EventKind::kFastPathTaken, "schema-independent", {}, {},
             "2 PULs");
   lane.Emit(EventKind::kConflictDetected, "insertion-order",
             {"P0#0", "P1#0"});
@@ -131,7 +131,7 @@ TEST(ExplainTest, CollectsFastPathsAndConflicts) {
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_EQ(report->fast_paths.size(), 1u);
   EXPECT_EQ(report->fast_paths[0],
-            "integrate: static-independent (2 PULs)");
+            "integrate: schema-independent (2 PULs)");
   ASSERT_EQ(report->chains.size(), 2u);
   ASSERT_EQ(report->chains[0].steps.size(), 1u);
   EXPECT_EQ(report->chains[0].steps[0],

@@ -237,25 +237,31 @@ TEST_F(TraceDeterminismTest, AggregateAndReconcileJournalsAreStable) {
   }
 }
 
-// Untraced runs must not pay for the plumbing: a null tracer leaves the
-// engine on its original path (no forced sharding at parallelism 1).
-TEST_F(TraceDeterminismTest, NullTracerKeepsSequentialPath) {
+// Tracing must not change which code path runs: a traced call solves
+// exactly the chunks an untraced call at the same parallelism solves,
+// and produces the same bytes.
+TEST_F(TraceDeterminismTest, TracingKeepsTheSolvePath) {
   Pul pul = SeededPul(5, 50);
-  ReduceOptions options;
-  core::ReduceStats stats;
-  auto reduced = core::Reduce(pul, options, &stats);
-  ASSERT_TRUE(reduced.ok());
-  EXPECT_EQ(stats.shards, 1u);
-  // With a tracer the engine shards for lane structure even at
-  // parallelism 1, and must still produce the same bytes.
-  Tracer tracer;
-  ReduceOptions traced;
-  traced.tracer = &tracer;
-  core::ReduceStats traced_stats;
-  auto traced_out = core::Reduce(pul, traced, &traced_stats);
-  ASSERT_TRUE(traced_out.ok());
-  EXPECT_EQ(Serialized(*traced_out), Serialized(*reduced));
-  EXPECT_GE(traced_stats.shards, 1u);
+  for (int parallelism : {1, 2, 4}) {
+    ReduceOptions options;
+    options.parallelism = parallelism;
+    core::ReduceStats stats;
+    auto reduced = core::Reduce(pul, options, &stats);
+    ASSERT_TRUE(reduced.ok());
+    Tracer tracer;
+    ReduceOptions traced = options;
+    traced.tracer = &tracer;
+    core::ReduceStats traced_stats;
+    auto traced_out = core::Reduce(pul, traced, &traced_stats);
+    ASSERT_TRUE(traced_out.ok());
+    EXPECT_EQ(traced_stats.shards, stats.shards)
+        << "parallelism " << parallelism;
+    EXPECT_EQ(Serialized(*traced_out), Serialized(*reduced))
+        << "parallelism " << parallelism;
+    if (parallelism == 1) {
+      EXPECT_EQ(stats.shards, 1u);
+    }
+  }
 }
 
 }  // namespace

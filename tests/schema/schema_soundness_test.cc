@@ -3,8 +3,8 @@
 // schema by construction — schema_test.cc walks one node by node), a
 // kProvenIndependent verdict must imply BOTH that the exact analyzer
 // returns kIndependent and that dynamic Integrate finds zero conflicts.
-// Every pair additionally re-validates the Integrate
-// use_schema_analysis fast path byte-for-byte against the default path
+// Every pair additionally re-validates Integrate's schema fast path
+// (IntegrateOptions::schema) byte-for-byte against the detection path
 // at parallelism 1 and 4.
 
 #include <gtest/gtest.h>
@@ -102,12 +102,11 @@ void CheckPair(const Schema& schema, const Pul& a, const Pul& b,
     ++tally->unknown;
   }
 
-  // use_schema_analysis must be a pure wall-time optimization, at every
+  // The schema tier must be a pure wall-time optimization, at every
   // parallelism level, proven pair or not.
   for (int parallelism : {1, 4}) {
     core::IntegrateOptions opts;
     opts.parallelism = parallelism;
-    opts.use_schema_analysis = true;
     opts.schema = &schema;
     auto fast = core::Integrate({&a, &b}, opts);
     ASSERT_TRUE(fast.ok()) << fast.status() << " " << context;

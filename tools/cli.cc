@@ -267,9 +267,9 @@ Status CmdApply(const Args& args, std::ostream& out) {
 }
 
 // Shared reasoning-engine flags: --parallelism N selects the worker
-// count of the shard-by-subtree engine (1 = sequential), --metrics PATH
-// dumps the engine's counters/timers as JSON ("-" for the output
-// stream).
+// count of the shard-by-subtree engine (1 = inline, one chunk),
+// --metrics PATH dumps the engine's counters/timers as JSON ("-" for
+// the output stream).
 Result<int> ParseParallelismFlag(const Args& args) {
   XUPDATE_ASSIGN_OR_RETURN(int64_t n,
                            ParseFlagInt(args, "parallelism", 1, 1, 256));
@@ -985,10 +985,7 @@ Status CmdStore(const Args& args, std::ostream& out) {
       merge_options.metrics = &metrics;
       if (WantTrace(args)) merge_options.tracer = &tracer;
       schema::Schema xmark_schema = schema::Schema::BuiltinXmark();
-      if (args.Has("schema")) {
-        merge_options.use_schema_analysis = true;
-        merge_options.schema = &xmark_schema;
-      }
+      if (args.Has("schema")) merge_options.schema = &xmark_schema;
       branch::MergeStats stats;
       XUPDATE_ASSIGN_OR_RETURN(
           store::MergeCommitResult merged,
