@@ -76,8 +76,9 @@ struct ReduceOptions {
   obs::Tracer* tracer = nullptr;
 };
 
-// Reduce with engine knobs. There is one solve path: partition, pack into
-// chunks, run one rule fixpoint per chunk, merge the survivors. Two
+// Reduce with engine knobs. There is one solve path: split the PUL into
+// chunks (the whole PUL at parallelism 1), run one rule fixpoint per
+// chunk, merge the survivors. Chunks hold whole components: two
 // operations land in the same component iff they are connected through
 // same-target / parent / adjacent-sibling / ancestor-containment links —
 // exactly the relations the Figure 2 rules and override sweeps can act

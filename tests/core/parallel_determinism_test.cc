@@ -121,7 +121,8 @@ TEST_F(ParallelDeterminismTest, ReducePackingNeverSplitsAComponent) {
   ASSERT_TRUE(generated.ok()) << generated.status();
   xml::NodeId parent = xml::kInvalidNode;
   for (const pul::UpdateOp& op : generated->ops()) {
-    if (op.target_label.valid() && op.target_label.parent != xml::kInvalidNode) {
+    if (op.target_label.valid() &&
+        op.target_label.parent != xml::kInvalidNode) {
       parent = op.target_label.parent;
       break;
     }
@@ -143,12 +144,12 @@ TEST_F(ParallelDeterminismTest, ReducePackingNeverSplitsAComponent) {
   }
 
   for (ReduceMode mode : {ReduceMode::kPlain, ReduceMode::kCanonical}) {
-    ReduceOptions sequential;
-    sequential.mode = mode;
-    auto base = Reduce(mixed, sequential);
+    ReduceOptions one_thread;
+    one_thread.mode = mode;
+    auto base = Reduce(mixed, one_thread);
     ASSERT_TRUE(base.ok()) << base.status();
     for (int parallelism : {2, 4, 8}) {
-      ReduceOptions opts = sequential;
+      ReduceOptions opts = one_thread;
       opts.parallelism = parallelism;
       ReduceStats stats;
       auto reduced = Reduce(mixed, opts, &stats);
