@@ -28,66 +28,6 @@ bool IsKillerKind(OpKind kind) {
          kind == OpKind::kReplaceChildren;
 }
 
-// Marks the ops the first override sweep (rules O3/O4) is guaranteed to
-// drop: target strictly inside the subtree interval of another op's
-// repN/del target, or of a repC target (attributes of the repC target
-// itself excepted). Mirrors Reducer::SweepOverrides.
-std::vector<char> SweptOps(const std::vector<UpdateOp>& ops) {
-  std::vector<char> swept(ops.size(), 0);
-  struct Event {
-    const BitString* code;
-    int type;  // 0 = query, 1 = killer-interval open
-    int op_index;
-  };
-  std::vector<Event> events;
-  events.reserve(ops.size() * 2);
-  for (size_t i = 0; i < ops.size(); ++i) {
-    const UpdateOp& op = ops[i];
-    if (!op.target_label.valid()) continue;
-    events.push_back({&op.target_label.start, 0, static_cast<int>(i)});
-    if (IsKillerKind(op.kind)) {
-      events.push_back({&op.target_label.start, 1, static_cast<int>(i)});
-    }
-  }
-  std::sort(events.begin(), events.end(),
-            [](const Event& a, const Event& b) {
-              int c = a.code->Compare(*b.code);
-              if (c != 0) return c < 0;
-              return a.type < b.type;
-            });
-  struct OpenKiller {
-    int op_index;
-    bool children_only;
-  };
-  std::vector<OpenKiller> open;
-  for (const Event& ev : events) {
-    const UpdateOp& op = ops[static_cast<size_t>(ev.op_index)];
-    while (!open.empty()) {
-      const UpdateOp& killer = ops[static_cast<size_t>(open.back().op_index)];
-      if (killer.target_label.end < *ev.code) {
-        open.pop_back();
-      } else {
-        break;
-      }
-    }
-    if (ev.type == 1) {
-      open.push_back({ev.op_index, op.kind == OpKind::kReplaceChildren});
-      continue;
-    }
-    for (const OpenKiller& k : open) {
-      const UpdateOp& killer = ops[static_cast<size_t>(k.op_index)];
-      if (killer.target == op.target) continue;
-      if (k.children_only && op.target_label.parent == killer.target &&
-          op.target_label.type == NodeType::kAttribute) {
-        continue;
-      }
-      swept[static_cast<size_t>(ev.op_index)] = 1;
-      break;
-    }
-  }
-  return swept;
-}
-
 // Most ops the Figure 2 fixpoint can keep on one target, from the kind
 // counts of the ops initially aimed at it. Every merge result inherits
 // the (target, kind) of one constituent, so the fixpoint constraints
@@ -158,6 +98,64 @@ bool AnyRelatedPair(const std::vector<UpdateOp>& ops) {
 
 }  // namespace
 
+// Mirrors Reducer::SweepOverrides.
+std::vector<char> SweptOps(const Pul& pul) {
+  const std::vector<UpdateOp>& ops = pul.ops();
+  std::vector<char> swept(ops.size(), 0);
+  struct Event {
+    const BitString* code;
+    int type;  // 0 = query, 1 = killer-interval open
+    int op_index;
+  };
+  std::vector<Event> events;
+  events.reserve(ops.size() * 2);
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const UpdateOp& op = ops[i];
+    if (!op.target_label.valid()) continue;
+    events.push_back({&op.target_label.start, 0, static_cast<int>(i)});
+    if (IsKillerKind(op.kind)) {
+      events.push_back({&op.target_label.start, 1, static_cast<int>(i)});
+    }
+  }
+  std::sort(events.begin(), events.end(),
+            [](const Event& a, const Event& b) {
+              int c = a.code->Compare(*b.code);
+              if (c != 0) return c < 0;
+              return a.type < b.type;
+            });
+  struct OpenKiller {
+    int op_index;
+    bool children_only;
+  };
+  std::vector<OpenKiller> open;
+  for (const Event& ev : events) {
+    const UpdateOp& op = ops[static_cast<size_t>(ev.op_index)];
+    while (!open.empty()) {
+      const UpdateOp& killer = ops[static_cast<size_t>(open.back().op_index)];
+      if (killer.target_label.end < *ev.code) {
+        open.pop_back();
+      } else {
+        break;
+      }
+    }
+    if (ev.type == 1) {
+      open.push_back({ev.op_index, op.kind == OpKind::kReplaceChildren});
+      continue;
+    }
+    for (const OpenKiller& k : open) {
+      const UpdateOp& killer = ops[static_cast<size_t>(k.op_index)];
+      if (killer.target == op.target) continue;
+      if (k.children_only && op.target_label.parent == killer.target &&
+          op.target_label.type == NodeType::kAttribute) {
+        continue;
+      }
+      swept[static_cast<size_t>(ev.op_index)] = 1;
+      break;
+    }
+  }
+  return swept;
+}
+
 ReductionPrediction PredictReduction(const Pul& pul) {
   ReductionPrediction p;
   const std::vector<UpdateOp>& ops = pul.ops();
@@ -178,7 +176,7 @@ ReductionPrediction PredictReduction(const Pul& pul) {
     return p;
   }
 
-  std::vector<char> swept = SweptOps(ops);
+  std::vector<char> swept = SweptOps(pul);
   std::unordered_map<NodeId, std::array<size_t, pul::kNumOpKinds>> groups;
   for (size_t i = 0; i < ops.size(); ++i) {
     if (swept[i] != 0) continue;

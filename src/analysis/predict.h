@@ -2,6 +2,7 @@
 #define XUPDATE_ANALYSIS_PREDICT_H_
 
 #include <cstddef>
+#include <vector>
 
 #include "pul/pul.h"
 
@@ -32,6 +33,12 @@ struct ReductionPrediction {
 };
 
 [[nodiscard]] ReductionPrediction PredictReduction(const pul::Pul& pul);
+
+// The ops (by listing index, 1 = swept) that the first override sweep
+// of Reduce (rules O3/O4) is guaranteed to drop: target strictly inside
+// the subtree interval of another op's repN/del target, or of a repC
+// target (attributes of the repC target itself excepted).
+[[nodiscard]] std::vector<char> SweptOps(const pul::Pul& pul);
 
 }  // namespace xupdate::analysis
 

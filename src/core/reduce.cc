@@ -4,7 +4,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -932,104 +931,6 @@ Status Reducer::RunRules() {
   return Status::OK();
 }
 
-// Partitions the operation indices into the connected components of the
-// "some Figure 2 rule or override sweep can relate these operations"
-// relation, decided purely on containment labels:
-//   * same target node;
-//   * target's parent / immediate left sibling is another op's target
-//     (the I10-I20 neighbor rules, in both lookup directions);
-//   * the target interval nests inside another op's target interval
-//     (the O3/O4 ancestor override sweep).
-// The components are closed under rule application: a merged operation
-// keeps the target (and label) of one of its constituents.
-std::vector<std::vector<int>> PartitionByTargetSubtree(const Pul& input) {
-  const std::vector<UpdateOp>& ops = input.ops();
-  int n = static_cast<int>(ops.size());
-  std::vector<int> uf(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) uf[static_cast<size_t>(i)] = i;
-  auto find = [&uf](int x) {
-    while (uf[static_cast<size_t>(x)] != x) {
-      uf[static_cast<size_t>(x)] =
-          uf[static_cast<size_t>(uf[static_cast<size_t>(x)])];
-      x = uf[static_cast<size_t>(x)];
-    }
-    return x;
-  };
-  auto unite = [&](int a, int b) { uf[static_cast<size_t>(find(a))] = find(b); };
-
-  // First op on each target in listing order — the chain heads of the
-  // flat target join.
-  pul::TargetIndex by_target;
-  by_target.Reset(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    by_target.Append(ops[static_cast<size_t>(i)].target, i);
-  }
-  for (int i = 0; i < n; ++i) {
-    int head = by_target.Head(ops[static_cast<size_t>(i)].target);
-    if (head != i) unite(i, head);
-  }
-  for (int i = 0; i < n; ++i) {
-    const NodeLabel& lab = ops[static_cast<size_t>(i)].target_label;
-    if (!lab.valid()) continue;
-    if (lab.parent != kInvalidNode) {
-      int head = by_target.Head(lab.parent);
-      if (head >= 0) unite(i, head);
-    }
-    if (lab.left_sibling != kInvalidNode) {
-      int head = by_target.Head(lab.left_sibling);
-      if (head >= 0) unite(i, head);
-    }
-  }
-
-  // Ancestor containment: sweep the labeled intervals in document order
-  // and union every operation with the closest enclosing target, which
-  // transitively covers the whole nesting chain. Order keys decide the
-  // sort and the nesting pops; the full code compare only breaks ties.
-  struct Interval {
-    uint64_t start_key;
-    uint64_t end_key;
-    const BitString* start;
-    const BitString* end;
-    int op;
-  };
-  std::vector<Interval> intervals;
-  intervals.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const NodeLabel& lab = ops[static_cast<size_t>(i)].target_label;
-    if (!lab.valid()) continue;
-    intervals.push_back({lab.start.PrefixKey64(), lab.end.PrefixKey64(),
-                         &lab.start, &lab.end, i});
-  }
-  std::sort(intervals.begin(), intervals.end(),
-            [](const Interval& a, const Interval& b) {
-              int c = BitString::CompareKeyed(a.start_key, *a.start,
-                                              b.start_key, *b.start);
-              if (c != 0) return c < 0;
-              return a.op < b.op;
-            });
-  std::vector<const Interval*> open;
-  for (const Interval& iv : intervals) {
-    while (!open.empty() &&
-           BitString::CompareKeyed(open.back()->end_key, *open.back()->end,
-                                   iv.start_key, *iv.start) < 0) {
-      open.pop_back();
-    }
-    if (!open.empty()) unite(iv.op, open.back()->op);
-    open.push_back(&iv);
-  }
-
-  // Components in order of their first operation (ranks stay sorted).
-  std::vector<std::vector<int>> shards;
-  std::unordered_map<int, size_t> shard_of_root;
-  for (int i = 0; i < n; ++i) {
-    int root = find(i);
-    auto [it, inserted] = shard_of_root.emplace(root, shards.size());
-    if (inserted) shards.emplace_back();
-    shards[it->second].push_back(i);
-  }
-  return shards;
-}
-
 // Chunks per worker thread: enough slack for uneven chunk runtimes to
 // balance out across the pool, few enough that per-Reducer setup stays
 // negligible next to the rule work.
@@ -1081,7 +982,7 @@ Result<pul::Pul> Reduce(const pul::Pul& input, const ReduceOptions& options,
   if (tracing || (options.parallelism > 1 && n > 1)) {
     obs::TraceSpan span(&partition_lane, "partition");
     ScopedTimer timer(metrics, "reduce.partition_seconds");
-    components = PartitionByTargetSubtree(input);
+    components = pul::PartitionByTargetSubtree(input.ops());
   }
 
   // chunk c solves components [chunk_begin[c], chunk_begin[c + 1]). At

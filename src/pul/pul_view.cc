@@ -1,6 +1,8 @@
 #include "pul/pul_view.h"
 
+#include <algorithm>
 #include <cstring>
+#include <unordered_map>
 
 namespace xupdate::pul {
 
@@ -100,6 +102,97 @@ void TargetIndex::Append(xml::NodeId target, int32_t index) {
 int32_t TargetIndex::Head(xml::NodeId target) const {
   const Bucket* b = FindBucketConst(target);
   return b != nullptr ? b->head : -1;
+}
+
+std::vector<std::vector<int>> PartitionByTargetSubtree(
+    const std::vector<UpdateOp>& ops) {
+  int n = static_cast<int>(ops.size());
+  std::vector<int> uf(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) uf[static_cast<size_t>(i)] = i;
+  auto find = [&uf](int x) {
+    while (uf[static_cast<size_t>(x)] != x) {
+      uf[static_cast<size_t>(x)] =
+          uf[static_cast<size_t>(uf[static_cast<size_t>(x)])];
+      x = uf[static_cast<size_t>(x)];
+    }
+    return x;
+  };
+  auto unite = [&](int a, int b) {
+    uf[static_cast<size_t>(find(a))] = find(b);
+  };
+
+  // First op on each target in listing order — the chain heads of the
+  // flat target join.
+  TargetIndex by_target;
+  by_target.Reset(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    by_target.Append(ops[static_cast<size_t>(i)].target, i);
+  }
+  for (int i = 0; i < n; ++i) {
+    int head = by_target.Head(ops[static_cast<size_t>(i)].target);
+    if (head != i) unite(i, head);
+  }
+  for (int i = 0; i < n; ++i) {
+    const label::NodeLabel& lab = ops[static_cast<size_t>(i)].target_label;
+    if (!lab.valid()) continue;
+    if (lab.parent != xml::kInvalidNode) {
+      int head = by_target.Head(lab.parent);
+      if (head >= 0) unite(i, head);
+    }
+    if (lab.left_sibling != xml::kInvalidNode) {
+      int head = by_target.Head(lab.left_sibling);
+      if (head >= 0) unite(i, head);
+    }
+  }
+
+  // Ancestor containment: sweep the labeled intervals in document order
+  // and union every operation with the closest enclosing target, which
+  // transitively covers the whole nesting chain. Order keys decide the
+  // sort and the nesting pops; the full code compare only breaks ties.
+  struct Interval {
+    uint64_t start_key;
+    uint64_t end_key;
+    const label::BitString* start;
+    const label::BitString* end;
+    int op;
+  };
+  std::vector<Interval> intervals;
+  intervals.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const label::NodeLabel& lab = ops[static_cast<size_t>(i)].target_label;
+    if (!lab.valid()) continue;
+    intervals.push_back({lab.start.PrefixKey64(), lab.end.PrefixKey64(),
+                         &lab.start, &lab.end, i});
+  }
+  std::sort(intervals.begin(), intervals.end(),
+            [](const Interval& a, const Interval& b) {
+              int c = label::BitString::CompareKeyed(a.start_key, *a.start,
+                                                     b.start_key, *b.start);
+              if (c != 0) return c < 0;
+              return a.op < b.op;
+            });
+  std::vector<const Interval*> open;
+  for (const Interval& iv : intervals) {
+    while (!open.empty() &&
+           label::BitString::CompareKeyed(open.back()->end_key,
+                                          *open.back()->end, iv.start_key,
+                                          *iv.start) < 0) {
+      open.pop_back();
+    }
+    if (!open.empty()) unite(iv.op, open.back()->op);
+    open.push_back(&iv);
+  }
+
+  // Components in order of their first operation (ranks stay sorted).
+  std::vector<std::vector<int>> shards;
+  std::unordered_map<int, size_t> shard_of_root;
+  for (int i = 0; i < n; ++i) {
+    int root = find(i);
+    auto [it, inserted] = shard_of_root.emplace(root, shards.size());
+    if (inserted) shards.emplace_back();
+    shards[it->second].push_back(i);
+  }
+  return shards;
 }
 
 void* Arena::Allocate(size_t bytes, size_t align) {

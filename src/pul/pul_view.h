@@ -91,6 +91,20 @@ class TargetIndex {
   Bucket invalid_chain_;
 };
 
+// Partitions the operation indices into the connected components of the
+// "some Figure 2 rule or override sweep can relate these operations"
+// relation, decided purely on containment labels:
+//   * same target node;
+//   * target's parent / immediate left sibling is another op's target
+//     (the I10-I20 neighbor rules, in both lookup directions);
+//   * the target interval nests inside another op's target interval
+//     (the O3/O4 ancestor override sweep).
+// The components are closed under rule application: a merged operation
+// keeps the target (and label) of one of its constituents. Components
+// come in order of their first operation, each in listing order.
+std::vector<std::vector<int>> PartitionByTargetSubtree(
+    const std::vector<UpdateOp>& ops);
+
 // Bump allocator for transient per-shard scratch (sweep event arrays,
 // partition intervals). Allocations are never individually freed; Reset
 // recycles the chunks for the next pass, so a shard's repeated sweeps
