@@ -1,7 +1,7 @@
 #include "analysis/independence.h"
 
-#include <algorithm>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,7 +19,6 @@ using pul::OpKind;
 using pul::Pul;
 using pul::UpdateOp;
 using xml::NodeId;
-using xml::NodeType;
 
 // repN with an empty replacement list behaves exactly like del
 // (footnote 3 of the paper); Algorithm 1 treats it as del and so does
@@ -101,46 +100,60 @@ const char* SameTargetConflict(const Pul& pul_a, const UpdateOp& a,
   return nullptr;
 }
 
-// The type-5 rule: `over` (an effective repN/del/repC) against an op of
-// the other PUL whose target lies strictly inside its subtree.
-bool NonLocalOverride(const UpdateOp& over, const UpdateOp& inner) {
-  OpKind ok = EffectiveKind(over);
-  bool full = ok == OpKind::kReplaceNode || ok == OpKind::kDelete;
-  bool children_only = ok == OpKind::kReplaceChildren;
-  if (!full && !children_only) return false;
-  if (EffectiveKind(inner) == OpKind::kDelete) return false;
-  if (children_only && inner.target_label.parent == over.target &&
-      inner.target_label.type == NodeType::kAttribute) {
-    return false;  // attributes of the repC target survive
-  }
-  return true;
-}
-
-// Labeled ops of one PUL sorted by document order of the targets, for
-// the containment sweep. `key` caches the start code's order-preserving
-// 64-bit prefix (label::BitString::PrefixKey64): the sort and the sweep
-// compare keys first and fall back to the full code only on ties.
-struct ByStart {
-  uint64_t key;
-  const UpdateOp* op;
-  int index;
+// A conflict type 5 witness: an overriding op (its sweep interval) and
+// the listing index of an op of the other PUL inside its subtree.
+struct NonLocalWitness {
+  const pul::SweepInterval* over = nullptr;
+  int inner = -1;
 };
 
-std::vector<ByStart> SortByStart(const Pul& pul) {
-  std::vector<ByStart> out;
-  const auto& ops = pul.ops();
-  out.reserve(ops.size());
-  for (size_t i = 0; i < ops.size(); ++i) {
-    out.push_back({ops[i].target_label.start.PrefixKey64(), &ops[i],
-                   static_cast<int>(i)});
+// Conflict type 5 in both directions, in one containment sweep over the
+// ops of both PULs (sweep id and rank = 2 * listing index + PUL; every
+// overriding op opens). found[p] is the witness with PUL p overriding:
+// its first overrider in (start code, index) order that overrides an op
+// of the other PUL whose target lies strictly inside its subtree, paired
+// with the first such op in the same order. The containment test, not
+// the sweep order, rules out equal starts. The witnesses point into
+// `sweep`.
+void FindNonLocalOverrides(const Pul& a, const Pul& b,
+                           pul::ContainmentSweep* sweep,
+                           NonLocalWitness found[2]) {
+  const Pul* puls[2] = {&a, &b};
+  for (int p = 0; p < 2; ++p) {
+    const auto& ops = puls[p]->ops();
+    for (size_t i = 0; i < ops.size(); ++i) {
+      int32_t id = static_cast<int32_t>(2 * i) + p;
+      sweep->Add(ops[i].target_label, static_cast<uint64_t>(id), id);
+    }
   }
-  std::sort(out.begin(), out.end(), [](const ByStart& x, const ByStart& y) {
-    int c = label::BitString::CompareKeyed(x.key, x.op->target_label.start,
-                                           y.key, y.op->target_label.start);
-    if (c != 0) return c < 0;
-    return x.index < y.index;
+  // Sorted-array positions follow (start, index) order within one PUL,
+  // so a direction's witness so far bounds the walk of every later inner
+  // op: only an earlier overrider can replace it.
+  sweep->Run([&](const pul::SweepInterval& interval,
+                 std::span<const pul::SweepInterval* const> enclosing) {
+    const int inner_pul = interval.id & 1;
+    const Pul& overs = *puls[1 - inner_pul];
+    const UpdateOp& inner =
+        puls[inner_pul]->ops()[static_cast<size_t>(interval.id >> 1)];
+    const bool opens = pul::OverridesSubtree(inner.kind);
+    if (EffectiveKind(inner) == OpKind::kDelete) return opens;
+    NonLocalWitness& witness = found[1 - inner_pul];
+    for (const pul::SweepInterval* o : enclosing) {
+      if (witness.over != nullptr && o >= witness.over) break;
+      if ((o->id & 1) == inner_pul) continue;
+      const UpdateOp& over = overs.ops()[static_cast<size_t>(o->id >> 1)];
+      const NodeLabel& lab = over.target_label;
+      if (!label::IsDescendantOf(inner.target_label, lab) ||
+          !(inner.target_label.start < lab.end) ||
+          !pul::OverridesInner(EffectiveKind(over), over.target,
+                               inner.target_label)) {
+        continue;
+      }
+      witness = {o, interval.id >> 1};
+      break;
+    }
+    return opens;
   });
-  return out;
 }
 
 }  // namespace
@@ -197,60 +210,16 @@ IndependenceReport AnalyzeIndependence(const Pul& a, const Pul& b) {
   }
 
   // Conflict class 5 needs a target of one PUL strictly inside the
-  // subtree of an overriding op of the other. Sweep each PUL's overrider
-  // intervals over the other's targets in document order.
-  std::vector<ByStart> a_sorted = SortByStart(a);
-  std::vector<ByStart> b_sorted = SortByStart(b);
-  auto scan_overriders = [](const std::vector<ByStart>& overs,
-                            const std::vector<ByStart>& inners, int* over_out,
-                            int* inner_out) {
-    for (const ByStart& over : overs) {
-      OpKind ok = EffectiveKind(*over.op);
-      if (ok != OpKind::kReplaceNode && ok != OpKind::kDelete &&
-          ok != OpKind::kReplaceChildren) {
-        continue;
-      }
-      const NodeLabel& lab = over.op->target_label;
-      const uint64_t end_key = lab.end.PrefixKey64();
-      // First inner whose start lies after the overrider's start; walk
-      // while still inside the [start, end] interval. The binary search
-      // and the walk both run on the cached keys.
-      auto first = std::upper_bound(
-          inners.begin(), inners.end(), over,
-          [](const ByStart& s, const ByStart& x) {
-            return label::BitString::CompareKeyed(
-                       s.key, s.op->target_label.start, x.key,
-                       x.op->target_label.start) < 0;
-          });
-      for (auto it = first; it != inners.end(); ++it) {
-        if (label::BitString::CompareKeyed(it->key,
-                                           it->op->target_label.start,
-                                           end_key, lab.end) >= 0) {
-          break;
-        }
-        if (!label::IsDescendantOf(it->op->target_label, lab)) continue;
-        if (NonLocalOverride(*over.op, *it->op)) {
-          *over_out = over.index;
-          *inner_out = it->index;
-          return true;
-        }
-      }
-    }
-    return false;
-  };
-  int x = -1;
-  int y = -1;
-  if (scan_overriders(a_sorted, b_sorted, &x, &y)) {
+  // subtree of an overriding op of the other.
+  pul::ContainmentSweep sweep;
+  NonLocalWitness found[2];
+  FindNonLocalOverrides(a, b, &sweep, found);
+  for (int p = 0; p < 2; ++p) {
+    if (found[p].over == nullptr) continue;
+    int over = found[p].over->id >> 1;
     report.verdict = IndependenceVerdict::kMustConflict;
-    report.op_a = x;
-    report.op_b = y;
-    report.reason = "non-local-override";
-    return report;
-  }
-  if (scan_overriders(b_sorted, a_sorted, &x, &y)) {
-    report.verdict = IndependenceVerdict::kMustConflict;
-    report.op_a = y;
-    report.op_b = x;
+    report.op_a = p == 0 ? over : found[p].inner;
+    report.op_b = p == 0 ? found[p].inner : over;
     report.reason = "non-local-override";
     return report;
   }

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "label/bitstring.h"
 #include "label/node_label.h"
+#include "pul/pul_view.h"
 #include "pul/update_op.h"
 
 namespace xupdate::analysis {
@@ -71,45 +73,43 @@ void LintDuplicateReplacements(const Pul& pul, DiagnosticReport* report) {
 // descendants, with repC) — the override sweep O3/O4 erases it, so it is
 // dead weight the producer can drop at the source. The overriding ops
 // themselves and same-target pairs are O1/O2 turf, not reported here.
+// One containment sweep finds the killers around every op; the one with
+// the lowest listing index is named.
 void LintOverriddenBySubtree(const Pul& pul, DiagnosticReport* report) {
-  struct Killer {
-    const UpdateOp* op;
-    int index;
-  };
-  std::vector<Killer> killers;
   const auto& ops = pul.ops();
+  pul::ContainmentSweep sweep;
   for (size_t i = 0; i < ops.size(); ++i) {
-    const UpdateOp& op = ops[i];
-    if (!op.target_label.valid()) continue;
-    if (op.kind == OpKind::kDelete || op.kind == OpKind::kReplaceNode ||
-        op.kind == OpKind::kReplaceChildren) {
-      killers.push_back({&op, static_cast<int>(i)});
-    }
+    if (!ops[i].target_label.valid()) continue;
+    sweep.AddOverrideEntries(ops[i], static_cast<uint32_t>(i),
+                             static_cast<int32_t>(i));
   }
-  if (killers.empty()) return;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    const UpdateOp& op = ops[i];
-    if (!op.target_label.valid()) continue;
-    for (const Killer& k : killers) {
-      if (k.index == static_cast<int>(i)) continue;
-      if (k.op->target == op.target) continue;
-      if (!label::IsDescendantOf(op.target_label, k.op->target_label)) {
+  std::vector<int> killer_of(ops.size(), -1);
+  sweep.Run([&](const pul::SweepInterval& interval,
+                std::span<const pul::SweepInterval* const> enclosing) {
+    if (pul::ContainmentSweep::IsOpening(interval)) return true;
+    const UpdateOp& op = ops[static_cast<size_t>(interval.id)];
+    int& witness = killer_of[static_cast<size_t>(interval.id)];
+    for (const pul::SweepInterval* k : enclosing) {
+      const UpdateOp& killer = ops[static_cast<size_t>(k->id)];
+      if (killer.target == op.target) continue;
+      if (!label::IsDescendantOf(op.target_label, killer.target_label) ||
+          !pul::OverridesInner(killer.kind, killer.target, op.target_label)) {
         continue;
       }
-      if (k.op->kind == OpKind::kReplaceChildren &&
-          op.target_label.parent == k.op->target &&
-          op.target_label.type == NodeType::kAttribute) {
-        continue;  // attributes of the repC target survive
-      }
-      Emit(report, Severity::kWarning, kCodeOverriddenBySubtreeOp,
-           static_cast<int>(i), k.index,
-           OpDescription(op, static_cast<int>(i)) +
-               " targets a node inside the subtree that op " +
-               std::to_string(k.index) + " (" +
-               std::string(pul::OpKindName(k.op->kind)) +
-               ") removes; reduction erases it");
-      break;  // one witness per op is enough
+      if (witness < 0 || k->id < witness) witness = k->id;
     }
+    return false;
+  });
+  for (size_t i = 0; i < ops.size(); ++i) {
+    int k = killer_of[i];
+    if (k < 0) continue;
+    Emit(report, Severity::kWarning, kCodeOverriddenBySubtreeOp,
+         static_cast<int>(i), k,
+         OpDescription(ops[i], static_cast<int>(i)) +
+             " targets a node inside the subtree that op " +
+             std::to_string(k) + " (" +
+             std::string(pul::OpKindName(ops[static_cast<size_t>(k)].kind)) +
+             ") removes; reduction erases it");
   }
 }
 

@@ -2,31 +2,21 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "label/bitstring.h"
-#include "label/node_label.h"
+#include "pul/pul_view.h"
 #include "pul/update_op.h"
 
 namespace xupdate::analysis {
 
 namespace {
 
-using label::BitString;
-using label::NodeLabel;
 using pul::OpKind;
 using pul::Pul;
 using pul::UpdateOp;
-using xml::kInvalidNode;
 using xml::NodeId;
-using xml::NodeType;
-
-bool IsKillerKind(OpKind kind) {
-  return kind == OpKind::kReplaceNode || kind == OpKind::kDelete ||
-         kind == OpKind::kReplaceChildren;
-}
 
 // Most ops the Figure 2 fixpoint can keep on one target, from the kind
 // counts of the ops initially aimed at it. Every merge result inherits
@@ -57,102 +47,32 @@ size_t GroupUpperBound(const std::array<size_t, pul::kNumOpKinds>& c) {
   return total + before + after;
 }
 
-// True if any pair of ops is related by a rule relation: same target,
-// parent / left-sibling link (the I10-I20 neighbor rules), or interval
-// containment (the O3/O4 sweep). Without such a pair the fixpoint is
-// empty and Reduce cannot change the operation list.
-bool AnyRelatedPair(const std::vector<UpdateOp>& ops) {
-  std::unordered_set<NodeId> targets;
-  for (const UpdateOp& op : ops) {
-    if (!targets.insert(op.target).second) return true;  // shared target
-  }
-  for (const UpdateOp& op : ops) {
-    const NodeLabel& lab = op.target_label;
-    if (!lab.valid()) continue;
-    if (lab.parent != kInvalidNode && targets.count(lab.parent) != 0) {
-      return true;
-    }
-    if (lab.left_sibling != kInvalidNode &&
-        targets.count(lab.left_sibling) != 0) {
-      return true;
-    }
-  }
-  // Containment: sweep the labeled target intervals in document order;
-  // any interval opening inside another means a nested pair.
-  std::vector<const NodeLabel*> labeled;
-  labeled.reserve(ops.size());
-  for (const UpdateOp& op : ops) {
-    if (op.target_label.valid()) labeled.push_back(&op.target_label);
-  }
-  std::sort(labeled.begin(), labeled.end(),
-            [](const NodeLabel* a, const NodeLabel* b) {
-              return a->start < b->start;
-            });
-  const NodeLabel* open = nullptr;
-  for (const NodeLabel* lab : labeled) {
-    if (open != nullptr && lab->start < open->end) return true;
-    if (open == nullptr || open->end < lab->start) open = lab;
-  }
-  return false;
-}
-
 }  // namespace
 
-// Mirrors Reducer::SweepOverrides.
+// The first pass of Reducer::SweepOverrides over the whole input.
 std::vector<char> SweptOps(const Pul& pul) {
   const std::vector<UpdateOp>& ops = pul.ops();
   std::vector<char> swept(ops.size(), 0);
-  struct Event {
-    const BitString* code;
-    int type;  // 0 = query, 1 = killer-interval open
-    int op_index;
-  };
-  std::vector<Event> events;
-  events.reserve(ops.size() * 2);
+  pul::ContainmentSweep sweep;
   for (size_t i = 0; i < ops.size(); ++i) {
-    const UpdateOp& op = ops[i];
-    if (!op.target_label.valid()) continue;
-    events.push_back({&op.target_label.start, 0, static_cast<int>(i)});
-    if (IsKillerKind(op.kind)) {
-      events.push_back({&op.target_label.start, 1, static_cast<int>(i)});
-    }
+    if (!ops[i].target_label.valid()) continue;
+    sweep.AddOverrideEntries(ops[i], static_cast<uint32_t>(i),
+                             static_cast<int32_t>(i));
   }
-  std::sort(events.begin(), events.end(),
-            [](const Event& a, const Event& b) {
-              int c = a.code->Compare(*b.code);
-              if (c != 0) return c < 0;
-              return a.type < b.type;
-            });
-  struct OpenKiller {
-    int op_index;
-    bool children_only;
-  };
-  std::vector<OpenKiller> open;
-  for (const Event& ev : events) {
-    const UpdateOp& op = ops[static_cast<size_t>(ev.op_index)];
-    while (!open.empty()) {
-      const UpdateOp& killer = ops[static_cast<size_t>(open.back().op_index)];
-      if (killer.target_label.end < *ev.code) {
-        open.pop_back();
-      } else {
+  sweep.Run([&](const pul::SweepInterval& interval,
+                std::span<const pul::SweepInterval* const> enclosing) {
+    if (pul::ContainmentSweep::IsOpening(interval)) return true;
+    const UpdateOp& op = ops[static_cast<size_t>(interval.id)];
+    for (const pul::SweepInterval* k : enclosing) {
+      const UpdateOp& killer = ops[static_cast<size_t>(k->id)];
+      if (killer.target != op.target &&
+          pul::OverridesInner(killer.kind, killer.target, op.target_label)) {
+        swept[static_cast<size_t>(interval.id)] = 1;
         break;
       }
     }
-    if (ev.type == 1) {
-      open.push_back({ev.op_index, op.kind == OpKind::kReplaceChildren});
-      continue;
-    }
-    for (const OpenKiller& k : open) {
-      const UpdateOp& killer = ops[static_cast<size_t>(k.op_index)];
-      if (killer.target == op.target) continue;
-      if (k.children_only && op.target_label.parent == killer.target &&
-          op.target_label.type == NodeType::kAttribute) {
-        continue;
-      }
-      swept[static_cast<size_t>(ev.op_index)] = 1;
-      break;
-    }
-  }
+    return false;
+  });
   return swept;
 }
 
@@ -170,7 +90,10 @@ ReductionPrediction PredictReduction(const Pul& pul) {
     p.no_rule_can_fire = true;
     return p;
   }
-  p.no_rule_can_fire = !AnyRelatedPair(ops);
+  // Without a related pair (every component a singleton) the fixpoint
+  // is empty and Reduce cannot change the operation list.
+  p.no_rule_can_fire =
+      pul::PartitionByTargetSubtree(ops).size() == ops.size();
   if (p.no_rule_can_fire) {
     p.surviving_upper_bound = ops.size();
     return p;

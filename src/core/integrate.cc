@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,7 +24,6 @@ using pul::OpKind;
 using pul::Pul;
 using pul::UpdateOp;
 using xml::NodeId;
-using xml::NodeType;
 
 // repN with an empty replacement list behaves exactly like del
 // (footnote 3 of the paper); the conflict rules treat it as del.
@@ -74,15 +74,14 @@ struct TaggedOp {
   bool conflicted = false;
 };
 
-// One target node with all the operations aimed at it. The order keys
-// are the 64-bit start/end code prefixes (label::BitString::PrefixKey64)
-// cached at group creation: the document-order sort and the containment
-// sweep compare them first and touch the codes only on key ties.
+// One target node with all the operations aimed at it. The order key is
+// the 64-bit start code prefix (label::BitString::PrefixKey64) cached at
+// group creation: the document-order sort compares it first and touches
+// the codes only on key ties.
 struct Group {
   NodeId target = xml::kInvalidNode;
   const label::NodeLabel* label = nullptr;
   uint64_t start_key = 0;
-  uint64_t end_key = 0;
   std::vector<TaggedOp*> ops;
   std::vector<int> children;  // indices into the group vector (type-5 tree)
 };
@@ -286,19 +285,15 @@ void Integrator::DetectNonLocalConflicts(size_t begin, size_t end,
     }
     for (TaggedOp* overrider : g.ops) {
       OpKind ok = overrider->effective;
-      bool full = ok == OpKind::kReplaceNode || ok == OpKind::kDelete;
-      bool children_only = ok == OpKind::kReplaceChildren;
-      if (!full && !children_only) continue;
+      if (!pul::OverridesSubtree(ok)) continue;
       Conflict c;
       c.type = ConflictType::kNonLocalOverride;
       c.overrider = overrider->ref;
       for (TaggedOp* other : below) {
         if (other->ref.pul == overrider->ref.pul) continue;
         if (other->effective == OpKind::kDelete) continue;
-        if (children_only &&
-            other->op->target_label.parent == g.target &&
-            other->op->target_label.type == NodeType::kAttribute) {
-          continue;  // attributes of the repC target survive
+        if (!pul::OverridesInner(ok, g.target, other->op->target_label)) {
+          continue;
         }
         c.ops.push_back(other->ref);
         other->conflicted = true;
@@ -430,7 +425,6 @@ Result<IntegrationResult> Integrator::Run() {
         g.target = t.op->target;
         g.label = &t.op->target_label;
         g.start_key = t.op->target_label.start.PrefixKey64();
-        g.end_key = t.op->target_label.end.PrefixKey64();
         groups_.push_back(std::move(g));
       }
       groups_[static_cast<size_t>(gi)].ops.push_back(&t);
@@ -444,28 +438,22 @@ Result<IntegrationResult> Integrator::Run() {
 
     // Containment tree over the sorted targets: the parent of a group is
     // the closest enclosing target (paper's tree T; a virtual root covers
-    // forests). Stack sweep over document order, on the cached keys.
-    std::vector<int> stack;
+    // forests). Ranked by sorted position, so an equal-start group sorted
+    // earlier encloses.
+    pul::ContainmentSweep sweep;
     for (size_t gi = 0; gi < groups_.size(); ++gi) {
-      const Group& g = groups_[gi];
-      while (!stack.empty()) {
-        const Group& top = groups_[static_cast<size_t>(stack.back())];
-        if (label::BitString::CompareKeyed(top.end_key, top.label->end,
-                                           g.start_key,
-                                           g.label->start) < 0) {
-          stack.pop_back();
-        } else {
-          break;
-        }
-      }
-      if (stack.empty()) {
-        roots.push_back(gi);
-      } else {
-        groups_[static_cast<size_t>(stack.back())].children.push_back(
-            static_cast<int>(gi));
-      }
-      stack.push_back(static_cast<int>(gi));
+      sweep.Add(*groups_[gi].label, gi, static_cast<int32_t>(gi));
     }
+    sweep.Run([&](const pul::SweepInterval& interval,
+                  std::span<const pul::SweepInterval* const> enclosing) {
+      if (enclosing.empty()) {
+        roots.push_back(static_cast<size_t>(interval.id));
+      } else {
+        groups_[static_cast<size_t>(enclosing.back()->id)]
+            .children.push_back(interval.id);
+      }
+      return true;
+    });
   }
 
   const size_t num_shards = roots.size();

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "pul/apply.h"
+#include "pul/pul_view.h"
 
 namespace xupdate::core {
 
@@ -94,8 +95,8 @@ Status CheckOIrreducible(const Document& doc, const Pul& pul) {
     for (const UpdateOp& other : pul.ops()) {
       if (&other == &op) continue;
       if (doc.IsAncestor(op.target, other.target) &&
-          !(doc.parent(other.target) == op.target &&
-            doc.type(other.target) == NodeType::kAttribute)) {
+          pul::OverridesInner(op.kind, op.target, doc.parent(other.target),
+                              doc.type(other.target))) {
         return Status::InvalidArgument(
             "PUL is O-reducible (operation under repC target " +
             std::to_string(op.target) + "); reduce before inverting");

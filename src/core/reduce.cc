@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "label/bitstring.h"
 #include "label/node_label.h"
 #include "obs/trace.h"
 #include "pul/pul_view.h"
@@ -18,7 +18,6 @@ namespace xupdate::core {
 
 namespace {
 
-using label::BitString;
 using label::NodeLabel;
 using pul::OpClass;
 using pul::OpKind;
@@ -142,11 +141,9 @@ class Reducer {
 
   int AddMerged(UpdateOp op, size_t rank) {
     int index = static_cast<int>(view_.size());
-    uint64_t key = op.target_label.start.PrefixKey64();
     by_target_.Append(op.target, index);
     owned_.push_back(std::move(op));
     view_.push_back(&owned_.back());
-    okey_.push_back(key);
     alive_.push_back(1);
     queued_.push_back(0);
     rank_.push_back(rank);
@@ -234,7 +231,6 @@ class Reducer {
   const std::vector<int>& chunk_;
   std::vector<const UpdateOp*> view_;  // op i; aliases input_ or owned_
   std::deque<UpdateOp> owned_;         // merged + stage-10-rewritten ops
-  std::vector<uint64_t> okey_;         // cached start-code order keys
   std::vector<char> alive_;
   std::vector<char> queued_;
   std::vector<size_t> rank_;  // PUL listing order, inherited by merges
@@ -246,7 +242,7 @@ class Reducer {
   // cache growing when merges append ops mid-fixpoint.
   std::deque<std::string> key_cache_;
   std::vector<char> key_computed_;
-  pul::Arena arena_;  // sweep-event scratch, recycled between passes
+  pul::ContainmentSweep sweep_;  // O3/O4 scratch, reused across passes
   const std::vector<obs::TraceLane*>* lanes_;
   size_t applications_ = 0;
 };
@@ -501,92 +497,39 @@ bool Reducer::TryMergeRules(int stage, int i) {
 }
 
 bool Reducer::SweepOverrides() {
-  struct Event {
-    uint64_t key;  // cached start-code order key of the op's target
-    // 0 = query (op target), 1 = open interval. (Close events are not
-    // needed: a stack ordered by interval nesting suffices.)
-    int type;
-    int op_index;
-  };
-  // Scratch comes from the arena: the sweep runs once per stage-1 pass
-  // and the event array is the largest transient of the whole fixpoint.
-  arena_.Reset();
-  Event* events = arena_.AllocateArray<Event>(NumOps() * 2);
-  size_t num_events = 0;
+  // Rank breaks start-code ties among the queries and among the killers,
+  // so the order is total: which of two same-target killers sits
+  // outermost on the stack — and is named in the O3/O4 event — never
+  // depends on the sort implementation or on which other ops share the
+  // sweep.
+  sweep_.Clear();
   for (size_t i = 0; i < NumOps(); ++i) {
     if (!Alive(static_cast<int>(i))) continue;
     const UpdateOp& op = Op(static_cast<int>(i));
     if (!op.target_label.valid()) continue;
-    events[num_events++] = {okey_[i], 0, static_cast<int>(i)};
-    if (op.kind == OpKind::kReplaceNode || op.kind == OpKind::kDelete ||
-        op.kind == OpKind::kReplaceChildren) {
-      events[num_events++] = {okey_[i], 1, static_cast<int>(i)};
-    }
+    sweep_.AddOverrideEntries(op, static_cast<uint32_t>(rank_[i]),
+                              static_cast<int32_t>(i));
   }
-  // Key-first comparison; the full code compare only breaks key ties.
-  // Rank breaks the remaining ties (several ops on one target), so the
-  // order is total: which of two same-target killers sits outermost on
-  // the stack — and is named in the O3/O4 event — never depends on the
-  // sort implementation or on which other ops share the array.
-  std::sort(events, events + num_events,
-            [this](const Event& a, const Event& b) {
-              int c = BitString::CompareKeyed(
-                  a.key, Op(a.op_index).target_label.start, b.key,
-                  Op(b.op_index).target_label.start);
-              if (c != 0) return c < 0;
-              if (a.type != b.type) return a.type < b.type;  // queries first
-              return rank_[static_cast<size_t>(a.op_index)] <
-                     rank_[static_cast<size_t>(b.op_index)];
-            });
-  // Stack of open killer intervals (op indices), innermost on top.
-  struct OpenKiller {
-    uint64_t end_key;
-    const BitString* end;
-    int op_index;
-    bool children_only;  // repC: attributes of the target survive
-  };
-  std::vector<OpenKiller> open;
   bool any = false;
-  for (size_t e = 0; e < num_events; ++e) {
-    const Event& ev = events[e];
-    const UpdateOp& op = Op(ev.op_index);
-    const BitString& code = op.target_label.start;
-    // Pop intervals that ended before this position.
-    while (!open.empty()) {
-      const OpenKiller& top = open.back();
-      if (BitString::CompareKeyed(top.end_key, *top.end, ev.key, code) < 0) {
-        open.pop_back();
-      } else {
-        break;
-      }
-    }
-    if (ev.type == 1) {
-      const BitString& end = op.target_label.end;
-      open.push_back({end.PrefixKey64(), &end, ev.op_index,
-                      op.kind == OpKind::kReplaceChildren});
-      continue;
-    }
-    if (!Alive(ev.op_index) || open.empty()) continue;
-    int killer_index = -1;
-    for (const OpenKiller& k : open) {
-      const UpdateOp& killer = Op(k.op_index);
+  sweep_.Run([&](const pul::SweepInterval& interval,
+                 std::span<const pul::SweepInterval* const> enclosing) {
+    if (pul::ContainmentSweep::IsOpening(interval)) return true;
+    if (!Alive(interval.id)) return false;
+    const UpdateOp& op = Op(interval.id);
+    for (const pul::SweepInterval* k : enclosing) {
+      const UpdateOp& killer = Op(k->id);
       if (killer.target == op.target) continue;  // same node: O1/O2 turf
-      if (k.children_only &&
-          op.target_label.parent == killer.target &&
-          op.target_label.type == NodeType::kAttribute) {
-        continue;  // attribute of the repC target survives
+      if (!pul::OverridesInner(killer.kind, killer.target, op.target_label)) {
+        continue;
       }
-      killer_index = k.op_index;
+      EmitKill(killer.kind == OpKind::kReplaceChildren ? "O4" : "O3", k->id,
+               interval.id);
+      Kill(interval.id);
+      any = true;
       break;
     }
-    if (killer_index >= 0) {
-      const UpdateOp& killer = Op(killer_index);
-      EmitKill(killer.kind == OpKind::kReplaceChildren ? "O4" : "O3",
-               killer_index, ev.op_index);
-      Kill(ev.op_index);
-      any = true;
-    }
-  }
+    return false;
+  });
   return any;
 }
 
@@ -877,10 +820,6 @@ Status Reducer::RunRules() {
   for (int global : chunk_) {
     rank_.push_back(static_cast<size_t>(global));
     view_.push_back(&input_.ops()[static_cast<size_t>(global)]);
-  }
-  okey_.reserve(view_.size());
-  for (const UpdateOp* op : view_) {
-    okey_.push_back(op->target_label.start.PrefixKey64());
   }
   alive_.assign(view_.size(), 1);
   queued_.assign(view_.size(), 0);

@@ -48,8 +48,8 @@ class BitString {
   // full Compare (the strings may still differ past bit 63, or one may
   // be a zero-extension-coinciding prefix of the other). Cheap enough
   // to recompute — persistent caching belongs to flat index layers
-  // (pul::PulView) so labels stay trivially copyable and shareable
-  // across shard threads.
+  // (pul::ContainmentSweep) so labels stay trivially copyable and
+  // shareable across shard threads.
   uint64_t PrefixKey64() const;
 
   // Three-way comparison given precomputed prefix keys of both strings;

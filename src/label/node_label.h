@@ -36,8 +36,8 @@ struct NodeLabel {
   // start.Compare fallback (see BitString::PrefixKey64). Recomputed on
   // use — one masked 8-byte load — rather than cached in the label, so
   // NodeLabel stays a trivially copyable aggregate that shard threads
-  // can read concurrently; hot paths cache the key in their flat op
-  // indexes (pul::PulView).
+  // can read concurrently; hot paths cache the key in their flat
+  // indexes (pul::ContainmentSweep).
   uint64_t OrderKey() const { return start.PrefixKey64(); }
 
   // Three-way document-order comparison of start codes, key-first with

@@ -1,26 +1,36 @@
 #include "pul/pul_view.h"
 
 #include <algorithm>
-#include <cstring>
 #include <unordered_map>
 
 namespace xupdate::pul {
 
-std::vector<OpSlot> BuildOpSlots(const std::vector<UpdateOp>& ops,
-                                 int32_t first_index) {
-  std::vector<OpSlot> slots;
-  slots.reserve(ops.size());
-  for (size_t i = 0; i < ops.size(); ++i) {
-    const UpdateOp& op = ops[i];
-    OpSlot slot;
-    slot.order_key = op.target_label.start.PrefixKey64();
-    slot.target = op.target;
-    slot.op = &op;
-    slot.op_index = first_index + static_cast<int32_t>(i);
-    slot.kind = op.kind;
-    slots.push_back(slot);
+bool OverridesSubtree(OpKind kind) {
+  return kind == OpKind::kReplaceNode || kind == OpKind::kDelete ||
+         kind == OpKind::kReplaceChildren;
+}
+
+bool OverridesInner(OpKind kind, xml::NodeId target, xml::NodeId inner_parent,
+                    xml::NodeType inner_type) {
+  if (kind == OpKind::kReplaceChildren) {
+    return !(inner_parent == target &&
+             inner_type == xml::NodeType::kAttribute);
   }
-  return slots;
+  return OverridesSubtree(kind);
+}
+
+void ContainmentSweep::Sort() {
+  auto less = [](const SweepInterval& a, const SweepInterval& b) {
+    int c = label::BitString::CompareKeyed(a.start_key, a.label->start,
+                                           b.start_key, b.label->start);
+    if (c != 0) return c < 0;
+    return a.rank < b.rank;
+  };
+  // Callers often add in document order already (integrate's sorted
+  // groups, canonical PULs); the check stops at the first inversion.
+  if (!std::is_sorted(intervals_.begin(), intervals_.end(), less)) {
+    std::sort(intervals_.begin(), intervals_.end(), less);
+  }
 }
 
 void TargetIndex::Reset(size_t expected_ops) {
@@ -145,43 +155,19 @@ std::vector<std::vector<int>> PartitionByTargetSubtree(
     }
   }
 
-  // Ancestor containment: sweep the labeled intervals in document order
-  // and union every operation with the closest enclosing target, which
-  // transitively covers the whole nesting chain. Order keys decide the
-  // sort and the nesting pops; the full code compare only breaks ties.
-  struct Interval {
-    uint64_t start_key;
-    uint64_t end_key;
-    const label::BitString* start;
-    const label::BitString* end;
-    int op;
-  };
-  std::vector<Interval> intervals;
-  intervals.reserve(static_cast<size_t>(n));
+  // Ancestor containment: union every operation with the closest
+  // enclosing target, which transitively covers the whole nesting chain.
+  // Every interval opens, so an equal-start one listed earlier encloses.
+  ContainmentSweep sweep;
   for (int i = 0; i < n; ++i) {
     const label::NodeLabel& lab = ops[static_cast<size_t>(i)].target_label;
-    if (!lab.valid()) continue;
-    intervals.push_back({lab.start.PrefixKey64(), lab.end.PrefixKey64(),
-                         &lab.start, &lab.end, i});
+    if (lab.valid()) sweep.Add(lab, static_cast<uint64_t>(i), i);
   }
-  std::sort(intervals.begin(), intervals.end(),
-            [](const Interval& a, const Interval& b) {
-              int c = label::BitString::CompareKeyed(a.start_key, *a.start,
-                                                     b.start_key, *b.start);
-              if (c != 0) return c < 0;
-              return a.op < b.op;
-            });
-  std::vector<const Interval*> open;
-  for (const Interval& iv : intervals) {
-    while (!open.empty() &&
-           label::BitString::CompareKeyed(open.back()->end_key,
-                                          *open.back()->end, iv.start_key,
-                                          *iv.start) < 0) {
-      open.pop_back();
-    }
-    if (!open.empty()) unite(iv.op, open.back()->op);
-    open.push_back(&iv);
-  }
+  sweep.Run([&](const SweepInterval& interval,
+                std::span<const SweepInterval* const> enclosing) {
+    if (!enclosing.empty()) unite(interval.id, enclosing.back()->id);
+    return true;
+  });
 
   // Components in order of their first operation (ranks stay sorted).
   std::vector<std::vector<int>> shards;
@@ -193,39 +179,6 @@ std::vector<std::vector<int>> PartitionByTargetSubtree(
     shards[it->second].push_back(i);
   }
   return shards;
-}
-
-void* Arena::Allocate(size_t bytes, size_t align) {
-  if (bytes == 0) bytes = 1;
-  while (true) {
-    if (current_ < chunks_.size()) {
-      Chunk& c = chunks_[current_];
-      size_t aligned = (used_ + align - 1) & ~(align - 1);
-      if (aligned + bytes <= c.size) {
-        used_ = aligned + bytes;
-        total_allocated_ += bytes;
-        return c.data.get() + aligned;
-      }
-      // Current chunk exhausted; move on (possibly to a recycled chunk).
-      ++current_;
-      used_ = 0;
-      continue;
-    }
-    size_t want = kMinChunk;
-    while (want < bytes + align) want <<= 1;
-    Chunk c;
-    c.data = std::make_unique<uint8_t[]>(want);
-    c.size = want;
-    chunks_.push_back(std::move(c));
-    current_ = chunks_.size() - 1;
-    used_ = 0;
-  }
-}
-
-void Arena::Reset() {
-  current_ = 0;
-  used_ = 0;
-  total_allocated_ = 0;
 }
 
 }  // namespace xupdate::pul

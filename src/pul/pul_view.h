@@ -2,40 +2,22 @@
 #define XUPDATE_PUL_PUL_VIEW_H_
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "label/bitstring.h"
 #include "pul/update_op.h"
 #include "xml/node.h"
 
-// Flat-index layer for the reasoning operators (reduce / integrate /
-// aggregate / independence). The engines' hot loops are sorts, interval
-// sweeps and shared-target hash joins over operations; what those loops
-// actually touch is tiny — an order key, a kind, a target id — while the
-// operations themselves carry labels, parameter trees and strings. This
-// header provides contiguous POD views of exactly the hot fields, built
-// once per operator invocation, so the loops scan cache-dense arrays and
-// the param strings/labels stay in the owning Pul (no per-phase copies).
+// Shared index layer for the reasoning operators (reduce, integrate,
+// aggregate) and the static analyses. Their hot loops are document-order
+// sweeps over containment intervals and joins over operations that share
+// a target; this header holds the one interval sweep, the one subtree
+// override rule those sweeps apply, and the flat target join. The loops
+// touch order keys, kinds and target ids; labels, parameter trees and
+// strings stay in the owning Pul and are never copied per phase.
 
 namespace xupdate::pul {
-
-// One operation's hot fields. `order_key` is the order-preserving 64-bit
-// prefix of the containment start code (label::BitString::PrefixKey64):
-// unequal keys decide document order outright, equal keys fall back to
-// the full code compare through `op->target_label`.
-struct OpSlot {
-  uint64_t order_key = 0;
-  xml::NodeId target = xml::kInvalidNode;
-  const UpdateOp* op = nullptr;
-  int32_t op_index = 0;
-  OpKind kind = OpKind::kDelete;
-};
-
-// Builds slots for a span of operations, with op_index numbering from
-// `first_index`. Slots alias `ops` — the span must outlive the view.
-std::vector<OpSlot> BuildOpSlots(const std::vector<UpdateOp>& ops,
-                                 int32_t first_index = 0);
 
 // Insertion-ordered shared-target join: target node id -> chain of op
 // indices, in append order. Replaces unordered_map<NodeId, vector<int>>
@@ -105,42 +87,104 @@ class TargetIndex {
 std::vector<std::vector<int>> PartitionByTargetSubtree(
     const std::vector<UpdateOp>& ops);
 
-// Bump allocator for transient per-shard scratch (sweep event arrays,
-// partition intervals). Allocations are never individually freed; Reset
-// recycles the chunks for the next pass, so a shard's repeated sweeps
-// stop hitting the global allocator. Not thread-safe: one Arena per
-// shard/engine instance.
-class Arena {
- public:
-  Arena() = default;
+// Kinds whose target subtree overrides the operations inside it (rules
+// O3/O4, conflict type 5): repN and del remove the whole subtree, repC
+// replaces the target's children.
+bool OverridesSubtree(OpKind kind);
 
-  // Uninitialized storage for `n` objects of T. T must be trivially
-  // destructible (nothing is ever destroyed).
-  template <typename T>
-  T* AllocateArray(size_t n) {
-    static_assert(std::is_trivially_destructible_v<T>);
-    return static_cast<T*>(Allocate(n * sizeof(T), alignof(T)));
+// Whether an op of `kind` on `target` overrides an op on a node strictly
+// inside that target's subtree, given the inner node's parent and type.
+// The attributes of a repC target survive: repC replaces only the
+// children. Callers decide containment (usually by a ContainmentSweep)
+// and their own extra exemptions (same target, inner deletes).
+bool OverridesInner(OpKind kind, xml::NodeId target, xml::NodeId inner_parent,
+                    xml::NodeType inner_type);
+inline bool OverridesInner(OpKind kind, xml::NodeId target,
+                           const label::NodeLabel& inner) {
+  return OverridesInner(kind, target, inner.parent, inner.type);
+}
+
+// One labeled interval of a ContainmentSweep. The order keys are the
+// codes' label::BitString::PrefixKey64 prefixes, so comparisons touch
+// the codes only on key ties; the end key is filled in when the interval
+// opens, the only time its end is compared.
+struct SweepInterval {
+  uint64_t start_key;
+  uint64_t end_key;
+  const label::NodeLabel* label;
+  uint64_t rank;  // the caller's tie-break among equal start codes
+  int32_t id;     // the caller's payload, usually an op index
+};
+
+// Document-order stack sweep over containment intervals, the one
+// nesting walk behind the override rules, the reduce partition, the
+// integrate containment tree and the static analyses. Intervals are
+// visited in (start code, rank) order; before each visit the open
+// intervals whose end lies before its start are popped, and the visitor
+// sees the rest, outermost first, and decides whether the interval
+// opens (is pushed). Only pushed intervals can enclose later ones.
+//
+// Equal start codes are not assumed to mean one node (labels come from
+// untrusted PUL input): callers choose their tie rule through the ranks.
+// An equal-start interval visited earlier and pushed encloses a later
+// one; an override sweep adds each op once as a query and, if it
+// overrides, once more with kOpeningRank set, so at one start code every
+// query comes before any opening and only strictly earlier starts
+// enclose. Ranks must be distinct.
+//
+// The object owns its scratch: Clear keeps the storage, so a caller that
+// sweeps repeatedly stops allocating after the first run. Not
+// thread-safe; the labels must outlive the run.
+class ContainmentSweep {
+ public:
+  // Rank bit of an opening entry in an override sweep (see above).
+  static constexpr uint64_t kOpeningRank = uint64_t{1} << 32;
+  static bool IsOpening(const SweepInterval& interval) {
+    return interval.rank >= kOpeningRank;
   }
 
-  void* Allocate(size_t bytes, size_t align);
+  void Clear() { intervals_.clear(); }
 
-  // Makes all chunks reusable; previously returned pointers die.
-  void Reset();
+  void Add(const label::NodeLabel& label, uint64_t rank, int32_t id) {
+    intervals_.push_back({label.start.PrefixKey64(), 0, &label, rank, id});
+  }
 
-  size_t bytes_allocated() const { return total_allocated_; }
+  // Adds op `id` to an override sweep: a query at `rank` and, for an
+  // overriding kind, an opening entry after every query of its start.
+  void AddOverrideEntries(const UpdateOp& op, uint32_t rank, int32_t id) {
+    Add(op.target_label, rank, id);
+    if (OverridesSubtree(op.kind)) {
+      Add(op.target_label, kOpeningRank | rank, id);
+    }
+  }
+
+  // visit(const SweepInterval& interval,
+  //       std::span<const SweepInterval* const> enclosing) -> bool push.
+  // Pointers into the sorted interval array follow the visiting order,
+  // so visitors may compare them to rank intervals.
+  template <typename Visit>
+  void Run(Visit&& visit) {
+    Sort();
+    open_.clear();
+    for (SweepInterval& interval : intervals_) {
+      while (!open_.empty() &&
+             label::BitString::CompareKeyed(
+                 open_.back()->end_key, open_.back()->label->end,
+                 interval.start_key, interval.label->start) < 0) {
+        open_.pop_back();
+      }
+      if (visit(interval, std::span<const SweepInterval* const>(open_))) {
+        interval.end_key = interval.label->end.PrefixKey64();
+        open_.push_back(&interval);
+      }
+    }
+  }
 
  private:
-  struct Chunk {
-    std::unique_ptr<uint8_t[]> data;
-    size_t size = 0;
-  };
+  void Sort();
 
-  static constexpr size_t kMinChunk = 64 << 10;
-
-  std::vector<Chunk> chunks_;
-  size_t current_ = 0;  // chunk being bumped
-  size_t used_ = 0;     // bytes used in chunks_[current_]
-  size_t total_allocated_ = 0;
+  std::vector<SweepInterval> intervals_;
+  std::vector<const SweepInterval*> open_;
 };
 
 }  // namespace xupdate::pul
