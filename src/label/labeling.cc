@@ -124,15 +124,16 @@ Status Labeling::BoundaryFor(const Document& doc, NodeId node,
       }
     }
   }
-  // Right boundary: next sibling's start, else the parent's end.
-  if (static_cast<size_t>(idx) + 1 < kids.size()) {
-    const NodeLabel* next = Find(kids[static_cast<size_t>(idx) + 1]);
-    if (next == nullptr) {
-      return Status::NotFound("right sibling of inserted node unlabeled");
+  // Right boundary: the first labeled right sibling's start, else the
+  // parent's end. Siblings inserted together (a repN or repC with several
+  // trees) are attached before the first is labeled, so the immediate
+  // right sibling may still be unlabeled.
+  *right = plab->end;
+  for (size_t k = static_cast<size_t>(idx) + 1; k < kids.size(); ++k) {
+    if (const NodeLabel* next = Find(kids[k])) {
+      *right = next->start;
+      break;
     }
-    *right = next->start;
-  } else {
-    *right = plab->end;
   }
   return Status::OK();
 }

@@ -139,10 +139,20 @@ bool PulGenerator::EmitRandomOp(
         if (!used_rep->insert({target, static_cast<int>(kind)}).second) {
           continue;
         }
-        return pul
-            ->AddStringOp(kind, target, labeling,
-                          "n" + std::to_string((*fresh)++))
-            .ok();
+        std::string name = "n" + std::to_string((*fresh)++);
+        // As for insA: the counter restarts per PUL, so a sibling
+        // attribute may already carry the name. Skip to the next free
+        // one without drawing, so collision-free inputs stay the same.
+        if (doc.type(target) == NodeType::kAttribute) {
+          auto taken = [&](const std::string& candidate) {
+            for (NodeId a : doc.attributes(doc.parent(target))) {
+              if (a != target && doc.name(a) == candidate) return true;
+            }
+            return false;
+          };
+          while (taken(name)) name = "n" + std::to_string((*fresh)++);
+        }
+        return pul->AddStringOp(kind, target, labeling, name).ok();
       }
     }
   }

@@ -139,6 +139,41 @@ TEST_F(ApplyTest, ReplaceNode) {
   EXPECT_TRUE(labeling_.Validate(doc_).ok());
 }
 
+// The replacement trees are attached before the first is labeled, so
+// the first one's right sibling is still unlabeled when its boundary is
+// computed.
+TEST_F(ApplyTest, ReplaceNodeWithSeveralTreesMaintainsLabels) {
+  Pul p = MakePul();
+  auto a = p.AddFragment("<a>1</a>");
+  auto b = p.AddFragment("<b><c/></b>");
+  ASSERT_TRUE(a.ok() && b.ok());
+  NodeId t = p.NewTextParam("tail");
+  ASSERT_TRUE(
+      p.AddTreeOp(OpKind::kReplaceNode, 5, labeling_, {*a, *b, t}).ok());
+  ApplyOptions opts;
+  opts.labeling = &labeling_;
+  ASSERT_TRUE(ApplyPul(&doc_, p, opts).ok());
+  ASSERT_EQ(doc_.children(4).size(), 5u);
+  EXPECT_EQ(doc_.name(doc_.children(4)[0]), "a");
+  EXPECT_EQ(doc_.name(doc_.children(4)[1]), "b");
+  EXPECT_EQ(doc_.value(doc_.children(4)[2]), "tail");
+  EXPECT_TRUE(labeling_.Validate(doc_).ok()) << labeling_.Validate(doc_);
+}
+
+TEST_F(ApplyTest, ReplaceChildrenWithSeveralTreesMaintainsLabels) {
+  Pul p = MakePul();
+  auto a = p.AddFragment("<a/>");
+  auto b = p.AddFragment("<b/>");
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(
+      p.AddTreeOp(OpKind::kReplaceChildren, 4, labeling_, {*a, *b}).ok());
+  ApplyOptions opts;
+  opts.labeling = &labeling_;
+  ASSERT_TRUE(ApplyPul(&doc_, p, opts).ok());
+  ASSERT_EQ(doc_.children(4).size(), 2u);
+  EXPECT_TRUE(labeling_.Validate(doc_).ok()) << labeling_.Validate(doc_);
+}
+
 TEST_F(ApplyTest, ReplaceNodeWithNothingDeletes) {
   Pul p = MakePul();
   ASSERT_TRUE(p.AddTreeOp(OpKind::kReplaceNode, 5, labeling_, {}).ok());

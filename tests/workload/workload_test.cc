@@ -172,6 +172,49 @@ TEST_F(WorkloadTest, ConflictingPulsReconcile) {
   EXPECT_TRUE(pul::ApplyPul(&copy, *merged).ok());
 }
 
+// Reduction folds insertions around a node into one repN with several
+// trees (IR8/IR9, IR19/IR20); applying those with label maintenance
+// must keep the labeling valid.
+TEST_F(WorkloadTest, ReducedPulAppliesWithLabelMaintenance) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    PulGenerator gen(doc_, labeling_, seed);
+    PulGenerator::PulOptions options;
+    options.num_ops = 500;
+    options.reducible_fraction = 0.2;
+    auto pul = gen.Generate(options);
+    ASSERT_TRUE(pul.ok()) << pul.status();
+    auto reduced = core::Reduce(*pul, core::ReduceMode::kDeterministic);
+    ASSERT_TRUE(reduced.ok()) << reduced.status();
+    Document doc = doc_;
+    label::Labeling labeling = labeling_;
+    pul::ApplyOptions apply;
+    apply.labeling = &labeling;
+    Status applied = pul::ApplyPul(&doc, *reduced, apply);
+    ASSERT_TRUE(applied.ok()) << "seed " << seed << ": " << applied;
+    EXPECT_TRUE(labeling.Validate(doc).ok())
+        << "seed " << seed << ": " << labeling.Validate(doc);
+  }
+}
+
+// A rename of an attribute must not pick a fresh name the owner element
+// already carries from an earlier PUL of the sequence (these seeds did).
+TEST(WorkloadSequenceTest, AttributeRenamesAvoidTakenNames) {
+  for (uint64_t seed : {6, 7, 9}) {
+    xmark::Config config;
+    config.seed = seed;
+    config.target_bytes = 32 << 10;
+    auto doc = xmark::GenerateDocument(config);
+    ASSERT_TRUE(doc.ok()) << doc.status();
+    label::Labeling labeling = label::Labeling::Build(*doc);
+    PulGenerator gen(*doc, labeling, seed);
+    PulGenerator::SequenceOptions options;
+    options.num_puls = 500;
+    options.ops_per_pul = 12;
+    auto puls = gen.GenerateSequence(options);
+    EXPECT_TRUE(puls.ok()) << "seed " << seed << ": " << puls.status();
+  }
+}
+
 TEST_F(WorkloadTest, DeterministicAcrossRuns) {
   PulGenerator a(doc_, labeling_, 99);
   PulGenerator b(doc_, labeling_, 99);
