@@ -113,8 +113,8 @@ struct NonLocalWitness {
 // its first overrider in (start code, index) order that overrides an op
 // of the other PUL whose target lies strictly inside its subtree, paired
 // with the first such op in the same order. The containment test, not
-// the sweep order, rules out equal starts. The witnesses point into
-// `sweep`.
+// the sweep order, rules out equal starts. `sweep` is empty on entry;
+// the witnesses point into it.
 void FindNonLocalOverrides(const Pul& a, const Pul& b,
                            pul::ContainmentSweep* sweep,
                            NonLocalWitness found[2]) {
@@ -123,7 +123,7 @@ void FindNonLocalOverrides(const Pul& a, const Pul& b,
     const auto& ops = puls[p]->ops();
     for (size_t i = 0; i < ops.size(); ++i) {
       int32_t id = static_cast<int32_t>(2 * i) + p;
-      sweep->Add(ops[i].target_label, static_cast<uint64_t>(id), id);
+      sweep->Add(ops[i].target_label, static_cast<uint32_t>(id), id);
     }
   }
   // Sorted-array positions follow (start, index) order within one PUL,

@@ -442,7 +442,8 @@ Result<IntegrationResult> Integrator::Run() {
     // earlier encloses.
     pul::ContainmentSweep sweep;
     for (size_t gi = 0; gi < groups_.size(); ++gi) {
-      sweep.Add(*groups_[gi].label, gi, static_cast<int32_t>(gi));
+      sweep.Add(*groups_[gi].label, static_cast<uint32_t>(gi),
+                static_cast<int32_t>(gi));
     }
     sweep.Run([&](const pul::SweepInterval& interval,
                   std::span<const pul::SweepInterval* const> enclosing) {

@@ -161,7 +161,7 @@ std::vector<std::vector<int>> PartitionByTargetSubtree(
   ContainmentSweep sweep;
   for (int i = 0; i < n; ++i) {
     const label::NodeLabel& lab = ops[static_cast<size_t>(i)].target_label;
-    if (lab.valid()) sweep.Add(lab, static_cast<uint64_t>(i), i);
+    if (lab.valid()) sweep.Add(lab, static_cast<uint32_t>(i), i);
   }
   sweep.Run([&](const SweepInterval& interval,
                 std::span<const SweepInterval* const> enclosing) {

@@ -112,7 +112,7 @@ struct SweepInterval {
   uint64_t start_key;
   uint64_t end_key;
   const label::NodeLabel* label;
-  uint64_t rank;  // the caller's tie-break among equal start codes
+  uint32_t rank;  // the caller's tie-break among equal start codes
   int32_t id;     // the caller's payload, usually an op index
 };
 
@@ -137,15 +137,16 @@ struct SweepInterval {
 // thread-safe; the labels must outlive the run.
 class ContainmentSweep {
  public:
-  // Rank bit of an opening entry in an override sweep (see above).
-  static constexpr uint64_t kOpeningRank = uint64_t{1} << 32;
+  // Rank bit of an opening entry in an override sweep (see above); the
+  // ranks below it hold op indices, which fit in 31 bits like the ids.
+  static constexpr uint32_t kOpeningRank = uint32_t{1} << 31;
   static bool IsOpening(const SweepInterval& interval) {
     return interval.rank >= kOpeningRank;
   }
 
   void Clear() { intervals_.clear(); }
 
-  void Add(const label::NodeLabel& label, uint64_t rank, int32_t id) {
+  void Add(const label::NodeLabel& label, uint32_t rank, int32_t id) {
     intervals_.push_back({label.start.PrefixKey64(), 0, &label, rank, id});
   }
 
