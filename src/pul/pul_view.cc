@@ -1,6 +1,7 @@
 #include "pul/pul_view.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <unordered_map>
 
 namespace xupdate::pul {
@@ -28,8 +29,35 @@ void ContainmentSweep::Sort() {
   };
   // Callers often add in document order already (integrate's sorted
   // groups, canonical PULs); the check stops at the first inversion.
-  if (!std::is_sorted(intervals_.begin(), intervals_.end(), less)) {
-    std::sort(intervals_.begin(), intervals_.end(), less);
+  if (std::is_sorted(intervals_.begin(), intervals_.end(), less)) return;
+  // LSD radix sort on the start keys, one pass per key byte that varies
+  // (CDBS codes are short, so most bytes do not), then the full order
+  // inside each run of equal keys. A comparison sort here spends most of
+  // its time on mispredicted branches.
+  const size_t n = intervals_.size();
+  uint64_t varying = 0;
+  for (const SweepInterval& interval : intervals_) {
+    varying |= interval.start_key ^ intervals_[0].start_key;
+  }
+  scratch_.resize(n);
+  for (int shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xff) == 0) continue;
+    size_t offset[257] = {};
+    for (const SweepInterval& interval : intervals_) {
+      ++offset[((interval.start_key >> shift) & 0xff) + 1];
+    }
+    for (size_t b = 1; b < 257; ++b) offset[b] += offset[b - 1];
+    for (const SweepInterval& interval : intervals_) {
+      scratch_[offset[(interval.start_key >> shift) & 0xff]++] = interval;
+    }
+    intervals_.swap(scratch_);
+  }
+  for (size_t i = 0; i < n;) {
+    size_t j = i + 1;
+    while (j < n && intervals_[j].start_key == intervals_[i].start_key) ++j;
+    std::sort(intervals_.begin() + static_cast<std::ptrdiff_t>(i),
+              intervals_.begin() + static_cast<std::ptrdiff_t>(j), less);
+    i = j;
   }
 }
 

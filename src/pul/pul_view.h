@@ -185,6 +185,7 @@ class ContainmentSweep {
   void Sort();
 
   std::vector<SweepInterval> intervals_;
+  std::vector<SweepInterval> scratch_;  // radix sort buffer
   std::vector<const SweepInterval*> open_;
 };
 

@@ -1,0 +1,102 @@
+#include "pul/pul_view.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/random.h"
+#include "label/bitstring.h"
+#include "label/node_label.h"
+
+namespace xupdate::pul {
+namespace {
+
+using label::BitString;
+using label::NodeLabel;
+
+NodeLabel Interval(const std::string& start, const std::string& end) {
+  NodeLabel label;
+  label.self = 1;
+  label.start = BitString::FromBits(start);
+  label.end = BitString::FromBits(end);
+  return label;
+}
+
+// Visiting order of a sweep that opens nothing, as (start bits, rank).
+std::vector<std::pair<std::string, uint32_t>> VisitOrder(
+    ContainmentSweep* sweep) {
+  std::vector<std::pair<std::string, uint32_t>> order;
+  sweep->Run([&](const SweepInterval& interval,
+                 std::span<const SweepInterval* const>) {
+    order.emplace_back(interval.label->start.ToString(), interval.rank);
+    return false;
+  });
+  return order;
+}
+
+// Start codes that share their first 64 bits tie on the order key; the
+// sweep must still visit them in full code order, then by rank.
+TEST(ContainmentSweepTest, VisitsInStartCodeThenRankOrder) {
+  const std::string prefix(64, '1');
+  std::vector<NodeLabel> labels = {
+      Interval(prefix + "011", "11"),   Interval("0101", "0111"),
+      Interval(prefix + "01", "11"),    Interval(prefix + "011", "11"),
+      Interval("0011", "01"),           Interval(prefix + "1", "11"),
+      Interval("0101", "0111"),         Interval("1", "11"),
+  };
+  std::vector<std::pair<std::string, uint32_t>> want;
+  for (size_t i = 0; i < labels.size(); ++i) {
+    want.emplace_back(labels[i].start.ToString(), static_cast<uint32_t>(i));
+  }
+  std::sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+    int c = BitString::FromBits(a.first).Compare(BitString::FromBits(b.first));
+    return c != 0 ? c < 0 : a.second < b.second;
+  });
+  // Add in a shuffled order so the sort, not the input, decides.
+  Rng rng(3);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<size_t> add(labels.size());
+    for (size_t i = 0; i < add.size(); ++i) add[i] = i;
+    for (size_t i = add.size(); i > 1; --i) {
+      std::swap(add[i - 1], add[static_cast<size_t>(rng.Below(i))]);
+    }
+    ContainmentSweep sweep;
+    for (size_t i : add) {
+      sweep.Add(labels[i], static_cast<uint32_t>(i), static_cast<int32_t>(i));
+    }
+    EXPECT_EQ(VisitOrder(&sweep), want) << "round " << round;
+  }
+}
+
+// Open intervals enclose the later ones that start before their end,
+// outermost first, and are popped once a start lies past their end.
+TEST(ContainmentSweepTest, ReportsOpenEnclosingIntervalsOutermostFirst) {
+  std::vector<NodeLabel> labels = {
+      Interval("001", "1101"),  // 0: encloses 1, 2, 3
+      Interval("0011", "011"),  // 1: encloses 2
+      Interval("01", "0101"),   // 2
+      Interval("1", "11"),      // 3
+      Interval("111", "1111"),  // 4: after 0 ends
+  };
+  ContainmentSweep sweep;
+  for (size_t i = 0; i < labels.size(); ++i) {
+    sweep.Add(labels[i], static_cast<uint32_t>(i), static_cast<int32_t>(i));
+  }
+  std::vector<std::vector<int>> enclosing_of(labels.size());
+  sweep.Run([&](const SweepInterval& interval,
+                std::span<const SweepInterval* const> enclosing) {
+    for (const SweepInterval* e : enclosing) {
+      enclosing_of[static_cast<size_t>(interval.id)].push_back(e->id);
+    }
+    return true;
+  });
+  std::vector<std::vector<int>> want = {{}, {0}, {0, 1}, {0}, {}};
+  EXPECT_EQ(enclosing_of, want);
+}
+
+}  // namespace
+}  // namespace xupdate::pul
