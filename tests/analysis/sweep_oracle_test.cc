@@ -1,7 +1,8 @@
-// Differential oracle for the containment sweeps of the static analyses
-// and the reduce partition: on seeded PULs over an XMark document, each
-// sweep-based answer must equal a brute-force O(n^2) reference built on
-// label::IsDescendantOf and plain interval comparisons. Some operations
+// Differential oracle for the containment sweeps of the static analyses,
+// the reduce partition and Invert's O-irreducibility check: on seeded
+// PULs over an XMark document, each sweep-based answer must equal a
+// brute-force O(n^2) reference built on label::IsDescendantOf, plain
+// interval comparisons or Document::IsAncestor walks. Some operations
 // target one node while carrying the label of another, so distinct
 // targets share start codes; others carry no label at all.
 
@@ -19,6 +20,8 @@
 #include "analysis/lint.h"
 #include "analysis/predict.h"
 #include "common/random.h"
+#include "core/invert.h"
+#include "core/reduce.h"
 #include "label/labeling.h"
 #include "label/node_label.h"
 #include "pul/pul.h"
@@ -369,6 +372,133 @@ TEST(SweepOracleTest, NonLocalOverrideWitnessMatchesBruteForce) {
   EXPECT_GT(equal_start_pairs, 0u);
   EXPECT_GT(witnesses, 0u);
   EXPECT_GT(independent, 0u);
+}
+
+// Rules O1/O2 of Figure 2 written out: a same-target repN/del overrides
+// everything but sibling insertions and repN, a repC overrides the child
+// insertions.
+bool ReferenceOverridesSameTarget(OpKind overrider, OpKind other) {
+  switch (overrider) {
+    case OpKind::kReplaceNode:
+    case OpKind::kDelete:
+      return other != OpKind::kInsBefore && other != OpKind::kInsAfter &&
+             other != OpKind::kReplaceNode;
+    case OpKind::kReplaceChildren:
+      return other == OpKind::kInsFirst || other == OpKind::kInsInto ||
+             other == OpKind::kInsLast;
+    default:
+      return false;
+  }
+}
+
+// Invert's precondition by brute force: some O-rule applies to the ops
+// of `pul`, with containment walked in `doc` (O3/O4: an op strictly
+// inside a repN/del target, or inside a repC target but not one of its
+// attributes).
+bool ReferenceOReducible(const xml::Document& doc, const Pul& pul) {
+  const std::vector<UpdateOp>& ops = pul.ops();
+  for (size_t k = 0; k < ops.size(); ++k) {
+    for (size_t i = 0; i < ops.size(); ++i) {
+      if (i == k) continue;
+      const UpdateOp& over = ops[k];
+      const UpdateOp& op = ops[i];
+      if (over.target == op.target) {
+        if (ReferenceOverridesSameTarget(over.kind, op.kind)) return true;
+        continue;
+      }
+      if (!IsSubtreeKiller(over.kind) ||
+          !doc.IsAncestor(over.target, op.target)) {
+        continue;
+      }
+      if (over.kind == OpKind::kReplaceChildren &&
+          doc.parent(op.target) == over.target &&
+          doc.type(op.target) == NodeType::kAttribute) {
+        continue;
+      }
+      return true;
+    }
+  }
+  return false;
+}
+
+// Appends a well-formed op of a random kind on `target` (insA inserts an
+// attribute, the other tree kinds text), carrying `label`.
+void AddValidOp(Pul* pul, Rng* rng, NodeId target, const NodeLabel& label) {
+  UpdateOp op;
+  op.kind = RandomKind(rng);
+  op.target = target;
+  op.target_label = label;
+  op.target_label.self = target;
+  if (op.kind == OpKind::kInsAttributes) {
+    op.param_trees.push_back(pul->NewAttributeParam(
+        "a" + std::to_string(pul->size()), "v"));
+  } else if (op.HasTreeParams() &&
+             (pul::ClassOf(op.kind) == pul::OpClass::kInsertion ||
+              rng->Chance(0.7))) {
+    op.param_trees.push_back(pul->NewTextParam("x"));
+  } else if (!op.HasTreeParams() && op.kind != OpKind::kDelete) {
+    op.param_string = "s";
+  }
+  ASSERT_TRUE(pul->AddOp(std::move(op)).ok());
+}
+
+// Compatible PULs of `n` ops on non-root nodes. About one op in four
+// reuses an earlier op's target, one in ten borrows another node's
+// label, and some pair a repC with an op on an attribute of its target.
+Pul InvertiblePul(uint64_t seed, size_t n) {
+  const Fixture& f = SharedFixture();
+  Rng rng(seed);
+  Pul pul;
+  pul.BindIdSpace(f.doc.max_assigned_id() + 1);
+  while (pul.size() < n) {
+    const auto& ops = pul.ops();
+    NodeId target = RandomNode(&rng);
+    if (!ops.empty() && rng.Chance(0.25)) {
+      target = ops[static_cast<size_t>(rng.Below(ops.size()))].target;
+    }
+    if (target == f.doc.root()) continue;
+    const std::vector<NodeId>& attributes = f.doc.attributes(target);
+    if (!attributes.empty() && rng.Chance(0.3)) {
+      UpdateOp repc;
+      repc.kind = OpKind::kReplaceChildren;
+      repc.target = target;
+      repc.target_label = *f.labeling.Find(target);
+      EXPECT_TRUE(pul.AddOp(std::move(repc)).ok());
+      target = attributes[static_cast<size_t>(rng.Below(attributes.size()))];
+    }
+    const NodeLabel& own = *f.labeling.Find(target);
+    const NodeLabel& borrowed = *f.labeling.Find(RandomNode(&rng));
+    AddValidOp(&pul, &rng, target, rng.Chance(0.1) ? borrowed : own);
+    while (!pul.CheckCompatible().ok()) pul.mutable_ops().pop_back();
+  }
+  return pul;
+}
+
+bool RejectedAsOReducible(const Status& status) {
+  return status.code() == StatusCode::kInvalidArgument &&
+         status.message().find("O-reducible") != std::string::npos;
+}
+
+TEST(SweepOracleTest, InvertVerdictMatchesBruteForce) {
+  const Fixture& f = SharedFixture();
+  size_t rejected = 0;
+  size_t accepted = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    std::string context = "seed " + std::to_string(seed);
+    Pul raw = InvertiblePul(seed, 4 + (seed % 6) * 8);
+    auto reduced = core::Reduce(raw, core::ReduceMode::kDeterministic);
+    ASSERT_TRUE(reduced.ok()) << context << ": " << reduced.status();
+    for (const Pul* pul : {&raw, &*reduced}) {
+      bool reference = ReferenceOReducible(f.doc, *pul);
+      Result<Pul> inverse = core::Invert(f.doc, f.labeling, *pul);
+      EXPECT_EQ(RejectedAsOReducible(inverse.status()), reference)
+          << context << (pul == &raw ? " raw: " : " reduced: ")
+          << inverse.status();
+      ++(reference ? rejected : accepted);
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(accepted, 0u);
 }
 
 }  // namespace
