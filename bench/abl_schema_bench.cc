@@ -73,7 +73,7 @@ const std::vector<pul::Pul>& IndependentPair() {
       Status status =
           attrs ? pul.AddStringOp(pul::OpKind::kReplaceValue, targets[i],
                                   fixture.labeling,
-                                  "v" + std::to_string(i))
+                                  std::string("v").append(std::to_string(i)))
                 : pul.AddDelete(targets[i], fixture.labeling);
       if (!status.ok()) {
         fprintf(stderr, "workload op failed: %s\n",

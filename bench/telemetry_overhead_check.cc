@@ -141,7 +141,8 @@ struct Harness {
   // setup, not hot path), then run the synchronous commit loop and
   // return the fastest single-commit round trip it saw.
   double RunTrial(const Fixture& fixture) {
-    std::string tenant = "t" + std::to_string(next_tenant++);
+    std::string tenant =
+        std::string("t").append(std::to_string(next_tenant++));
     auto head = client.Open(tenant, fixture.base_xml);
     if (!head.ok()) {
       fprintf(stderr, "open failed: %s\n", head.status().ToString().c_str());

@@ -15,48 +15,13 @@ namespace xupdate::analysis {
 namespace {
 
 using label::NodeLabel;
+using pul::EffectiveKind;
+using pul::IsType1Kind;
+using pul::IsType3Kind;
 using pul::OpKind;
 using pul::Pul;
 using pul::UpdateOp;
 using xml::NodeId;
-
-// repN with an empty replacement list behaves exactly like del
-// (footnote 3 of the paper); Algorithm 1 treats it as del and so does
-// the static mirror.
-OpKind EffectiveKind(const UpdateOp& op) {
-  if (op.kind == OpKind::kReplaceNode && op.param_trees.empty()) {
-    return OpKind::kDelete;
-  }
-  return op.kind;
-}
-
-bool IsType1Kind(OpKind kind) {
-  return kind == OpKind::kRename || kind == OpKind::kReplaceNode ||
-         kind == OpKind::kReplaceChildren || kind == OpKind::kReplaceValue;
-}
-
-bool IsType3Kind(OpKind kind) {
-  return kind == OpKind::kInsBefore || kind == OpKind::kInsAfter ||
-         kind == OpKind::kInsFirst || kind == OpKind::kInsLast;
-}
-
-// Operations a same-target repN/del overrides (type-4 conflicts), as in
-// integrate.cc.
-bool IsLocallyOverridable(OpKind effective) {
-  switch (effective) {
-    case OpKind::kRename:
-    case OpKind::kReplaceValue:
-    case OpKind::kReplaceChildren:
-    case OpKind::kInsFirst:
-    case OpKind::kInsLast:
-    case OpKind::kInsAttributes:
-    case OpKind::kInsInto:
-    case OpKind::kDelete:
-      return true;
-    default:
-      return false;
-  }
-}
 
 std::set<std::string_view> InsertedAttributeNames(const Pul& pul,
                                                   const UpdateOp& op) {
@@ -81,20 +46,9 @@ const char* SameTargetConflict(const Pul& pul_a, const UpdateOp& a,
       if (names_a.count(name) != 0) return "repeated-attribute";
     }
   }
-  auto local_override = [](OpKind overrider, OpKind other) {
-    bool full =
-        overrider == OpKind::kReplaceNode || overrider == OpKind::kDelete;
-    if (full) {
-      return IsLocallyOverridable(other) &&
-             !(overrider == OpKind::kDelete && other == OpKind::kDelete);
-    }
-    if (overrider == OpKind::kReplaceChildren) {
-      return other == OpKind::kInsFirst || other == OpKind::kInsInto ||
-             other == OpKind::kInsLast;
-    }
-    return false;
-  };
-  if (local_override(ea, eb) || local_override(eb, ea)) {
+  // Two dels are no conflict.
+  if (!(ea == OpKind::kDelete && eb == OpKind::kDelete) &&
+      (pul::OverridesSameTarget(ea, eb) || pul::OverridesSameTarget(eb, ea))) {
     return "local-override";
   }
   return nullptr;

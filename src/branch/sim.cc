@@ -56,7 +56,7 @@ Status RunScheduleImpl(uint64_t seed, const SimOptions& options,
   merge_options.metrics = options.metrics;
   std::vector<Replica> writers;
   for (int w = 0; w < options.writers; ++w) {
-    writers.push_back({"w" + std::to_string(w)});
+    writers.push_back({std::string("w").append(std::to_string(w))});
     XUPDATE_RETURN_IF_ERROR(
         store.CreateBranch(writers.back().name, "main", store.head()));
   }

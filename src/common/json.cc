@@ -197,7 +197,7 @@ class Parser {
         case 'r': out->push_back('\r'); break;
         case 't': out->push_back('\t'); break;
         case 'u': {
-          uint32_t cp;
+          uint32_t cp = 0;
           XUPDATE_RETURN_IF_ERROR(ParseHex4(&cp));
           if (cp >= 0xD800 && cp <= 0xDBFF) {
             // High surrogate: must be followed by \uDC00..\uDFFF.
@@ -206,7 +206,7 @@ class Parser {
               return Error("unpaired surrogate");
             }
             pos_ += 2;
-            uint32_t low;
+            uint32_t low = 0;
             XUPDATE_RETURN_IF_ERROR(ParseHex4(&low));
             if (low < 0xDC00 || low > 0xDFFF) {
               return Error("unpaired surrogate");

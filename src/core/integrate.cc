@@ -20,50 +20,20 @@ namespace xupdate::core {
 
 namespace {
 
+using pul::EffectiveKind;
+using pul::IsType1Kind;
+using pul::IsType3Kind;
 using pul::OpKind;
 using pul::Pul;
 using pul::UpdateOp;
 using xml::NodeId;
 
-// repN with an empty replacement list behaves exactly like del
-// (footnote 3 of the paper); the conflict rules treat it as del.
-OpKind EffectiveKind(const UpdateOp& op) {
-  if (op.kind == OpKind::kReplaceNode && op.param_trees.empty()) {
-    return OpKind::kDelete;
-  }
-  return op.kind;
-}
-
-bool IsType1Kind(OpKind kind) {
-  return kind == OpKind::kRename || kind == OpKind::kReplaceNode ||
-         kind == OpKind::kReplaceChildren || kind == OpKind::kReplaceValue;
-}
-
-bool IsType3Kind(OpKind kind) {
-  return kind == OpKind::kInsBefore || kind == OpKind::kInsAfter ||
-         kind == OpKind::kInsFirst || kind == OpKind::kInsLast;
-}
-
-// Operations a same-target repN/del overrides (local override, rule 4).
-bool IsLocallyOverridable(OpKind effective) {
-  switch (effective) {
-    case OpKind::kRename:
-    case OpKind::kReplaceValue:
-    case OpKind::kReplaceChildren:
-    case OpKind::kInsFirst:
-    case OpKind::kInsLast:
-    case OpKind::kInsAttributes:
-    case OpKind::kInsInto:
-    case OpKind::kDelete:
-      return true;
-    default:
-      return false;
-  }
-}
-
 // Stable trace id of an input operation: PUL index + listing index.
 std::string RefId(const OpRef& ref) {
-  return "P" + std::to_string(ref.pul) + "#" + std::to_string(ref.op);
+  return std::string("P")
+      .append(std::to_string(ref.pul))
+      .append("#")
+      .append(std::to_string(ref.op));
 }
 
 struct TaggedOp {
@@ -232,12 +202,10 @@ void Integrator::DetectLocalConflicts(Group& group, LocalScratch* scratch,
     }
   }
 
-  // Type 4: local overrides.
+  // Type 4: local overrides; two dels are no conflict.
   for (TaggedOp* overrider : group.ops) {
     OpKind ok = overrider->effective;
-    bool full = ok == OpKind::kReplaceNode || ok == OpKind::kDelete;
-    bool children_only = ok == OpKind::kReplaceChildren;
-    if (!full && !children_only) continue;
+    if (!pul::OverridesSubtree(ok)) continue;
     Conflict c;
     c.type = ConflictType::kLocalOverride;
     c.overrider = overrider->ref;
@@ -246,15 +214,8 @@ void Integrator::DetectLocalConflicts(Group& group, LocalScratch* scratch,
         continue;
       }
       OpKind o2 = other->effective;
-      bool hit = false;
-      if (full) {
-        hit = IsLocallyOverridable(o2) &&
-              !(ok == OpKind::kDelete && o2 == OpKind::kDelete);
-      } else {
-        hit = o2 == OpKind::kInsFirst || o2 == OpKind::kInsInto ||
-              o2 == OpKind::kInsLast;
-      }
-      if (hit) {
+      if (pul::OverridesSameTarget(ok, o2) &&
+          !(ok == OpKind::kDelete && o2 == OpKind::kDelete)) {
         c.ops.push_back(other->ref);
         other->conflicted = true;
       }

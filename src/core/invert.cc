@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -22,86 +24,70 @@ using xml::kInvalidNode;
 using xml::NodeId;
 using xml::NodeType;
 
-// Kinds a same-target repN/del makes ineffective (O1's overridable set).
-bool IsO1Overridable(OpKind kind) {
-  switch (kind) {
-    case OpKind::kRename:
-    case OpKind::kReplaceValue:
-    case OpKind::kReplaceChildren:
-    case OpKind::kDelete:
-    case OpKind::kInsFirst:
-    case OpKind::kInsLast:
-    case OpKind::kInsInto:
-    case OpKind::kInsAttributes:
-      return true;
-    default:
-      return false;
-  }
-}
-
 // Rejects PULs that the O-rules of Figure 2 would shrink: an overridden
-// operation has no effect, so inverting it would corrupt the undo.
-Status CheckOIrreducible(const Document& doc, const Pul& pul) {
-  std::unordered_map<NodeId, std::vector<const UpdateOp*>> by_target;
-  for (const UpdateOp& op : pul.ops()) {
-    by_target[op.target].push_back(&op);
-  }
-  for (const auto& [target, ops] : by_target) {
-    const UpdateOp* killer = nullptr;
-    bool has_repc = false;
-    for (const UpdateOp* op : ops) {
-      if (op->kind == OpKind::kDelete || op->kind == OpKind::kReplaceNode) {
-        killer = op;
-      }
-      if (op->kind == OpKind::kReplaceChildren) has_repc = true;
+// operation has no effect, so inverting it would corrupt the undo. The
+// labels come from `labeling`, the document's own, so the same-target
+// join and one containment sweep decide O1-O4 exactly.
+Status CheckOIrreducible(const label::Labeling& labeling, const Pul& pul) {
+  const std::vector<UpdateOp>& ops = pul.ops();
+  pul::TargetIndex by_target;
+  by_target.Reset(ops.size());
+  // Each op is a sweep query; a repN/del/repC also opens its subtree,
+  // after every query of its start, so only strict ancestors enclose.
+  pul::ContainmentSweep sweep;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const NodeLabel* label = labeling.Find(ops[i].target);
+    if (label == nullptr) {
+      return Status::NotApplicable("target node " +
+                                   std::to_string(ops[i].target) +
+                                   " not in document");
     }
-    for (const UpdateOp* op : ops) {
-      // O1: anything but a sibling insertion next to a same-target
-      // repN/del is overridden (a second del counts too).
-      if (killer != nullptr && op != killer && IsO1Overridable(op->kind)) {
+    auto id = static_cast<int32_t>(i);
+    by_target.Append(ops[i].target, id);
+    sweep.Add(*label, static_cast<uint32_t>(i), id);
+    if (pul::OverridesSubtree(ops[i].kind)) {
+      sweep.Add(*label,
+                pul::ContainmentSweep::kOpeningRank | static_cast<uint32_t>(i),
+                id);
+    }
+  }
+  // O1/O2. A target holds at most one repN and one repC, and a second
+  // del is overridden, so each overrider's walk is short.
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (!pul::OverridesSubtree(ops[i].kind)) continue;
+    for (int32_t j = by_target.Head(ops[i].target); j >= 0;
+         j = by_target.Next(j)) {
+      if (static_cast<size_t>(j) != i &&
+          pul::OverridesSameTarget(ops[i].kind,
+                                   ops[static_cast<size_t>(j)].kind)) {
         return Status::InvalidArgument(
             "PUL is O-reducible (same-target override on node " +
-            std::to_string(target) + "); reduce before inverting");
-      }
-      // O2: child insertions next to a same-target repC.
-      if (has_repc &&
-          (op->kind == OpKind::kInsFirst || op->kind == OpKind::kInsInto ||
-           op->kind == OpKind::kInsLast)) {
-        return Status::InvalidArgument(
-            "PUL is O-reducible (repC overrides insertion on node " +
-            std::to_string(target) + "); reduce before inverting");
+            std::to_string(ops[i].target) + "); reduce before inverting");
       }
     }
   }
-  // Nested overrides (O3/O4): no op may target a node inside a killed
-  // subtree. Ground truth from the document (we have it here).
-  std::vector<NodeId> killers;
-  for (const UpdateOp& op : pul.ops()) {
-    if (op.kind == OpKind::kDelete || op.kind == OpKind::kReplaceNode) {
-      killers.push_back(op.target);
-    }
-  }
-  for (const UpdateOp& op : pul.ops()) {
-    for (NodeId killer : killers) {
-      if (doc.IsAncestor(killer, op.target)) {
-        return Status::InvalidArgument(
-            "PUL is O-reducible (operation under removed node " +
-            std::to_string(killer) + "); reduce before inverting");
+  // O3/O4: no op may target a node strictly inside the subtree of a
+  // repN/del target, or of a repC target other than its attributes.
+  const UpdateOp* overrider = nullptr;
+  sweep.Run([&](const pul::SweepInterval& interval,
+                std::span<const pul::SweepInterval* const> enclosing) {
+    if (pul::ContainmentSweep::IsOpening(interval)) return true;
+    if (overrider != nullptr) return false;
+    for (const pul::SweepInterval* open : enclosing) {
+      const UpdateOp& over = ops[static_cast<size_t>(open->id)];
+      if (pul::OverridesInner(over.kind, over.target, *interval.label)) {
+        overrider = &over;
+        break;
       }
     }
-  }
-  for (const UpdateOp& op : pul.ops()) {
-    if (op.kind != OpKind::kReplaceChildren) continue;
-    for (const UpdateOp& other : pul.ops()) {
-      if (&other == &op) continue;
-      if (doc.IsAncestor(op.target, other.target) &&
-          pul::OverridesInner(op.kind, op.target, doc.parent(other.target),
-                              doc.type(other.target))) {
-        return Status::InvalidArgument(
-            "PUL is O-reducible (operation under repC target " +
-            std::to_string(op.target) + "); reduce before inverting");
-      }
-    }
+    return false;
+  });
+  if (overrider != nullptr) {
+    return Status::InvalidArgument(
+        std::string("PUL is O-reducible (operation under ") +
+        (overrider->kind == OpKind::kReplaceChildren ? "repC target "
+                                                     : "removed node ") +
+        std::to_string(overrider->target) + "); reduce before inverting");
   }
   return Status::OK();
 }
@@ -175,7 +161,7 @@ class Inverter {
 
 Result<Pul> Inverter::Run() {
   XUPDATE_RETURN_IF_ERROR(pul_.CheckCompatible());
-  XUPDATE_RETURN_IF_ERROR(CheckOIrreducible(doc_, pul_));
+  XUPDATE_RETURN_IF_ERROR(CheckOIrreducible(labeling_, pul_));
 
   // First pass: removal bookkeeping for anchor computation.
   for (const UpdateOp& op : pul_.ops()) {

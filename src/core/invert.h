@@ -33,6 +33,13 @@ namespace xupdate::core {
 // O1-O4 of Figure 2 must not apply). Such operations have no effect on
 // the document, so their inverses would wrongly "undo" nothing into
 // something; run Reduce() first. Violations yield kInvalidArgument.
+//
+// `labeling` must be `doc`'s own (Labeling::Build(doc) or one kept in
+// step with it): the check takes every target's label from it, ignoring
+// the labels the operations carry, and decides O1-O4 with one
+// same-target join and one containment sweep, O(n log n) in the number
+// of operations. A target the labeling lacks yields kNotApplicable
+// before any other verdict.
 [[nodiscard]] Result<pul::Pul> Invert(const xml::Document& doc,
                         const label::Labeling& labeling,
                         const pul::Pul& pul);

@@ -5,23 +5,18 @@
 #include <vector>
 
 #include "label/node_label.h"
+#include "pul/pul_view.h"
 
 namespace xupdate::core {
 
 namespace {
 
+using pul::EffectiveKind;
 using pul::OpClass;
 using pul::OpKind;
 using pul::Policies;
 using pul::Pul;
 using pul::UpdateOp;
-
-OpKind EffectiveKind(const UpdateOp& op) {
-  if (op.kind == OpKind::kReplaceNode && op.param_trees.empty()) {
-    return OpKind::kDelete;
-  }
-  return op.kind;
-}
 
 // "Inserted data" in the sense of the §4.2 policies: repN, repC, repV or
 // ins operations that put new content into the document.
@@ -58,7 +53,10 @@ struct RefLess {
 
 // Stable trace ids, matching the integrate journal.
 std::string RefId(const OpRef& ref) {
-  return "P" + std::to_string(ref.pul) + "#" + std::to_string(ref.op);
+  return std::string("P")
+      .append(std::to_string(ref.pul))
+      .append("#")
+      .append(std::to_string(ref.op));
 }
 std::vector<std::string> RefIds(const std::vector<OpRef>& refs) {
   std::vector<std::string> ids;

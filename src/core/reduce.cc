@@ -27,28 +27,9 @@ using xml::kInvalidNode;
 using xml::NodeId;
 using xml::NodeType;
 
-bool IsChildInsertion(OpKind kind) {
-  return kind == OpKind::kInsFirst || kind == OpKind::kInsInto ||
-         kind == OpKind::kInsLast;
-}
-
-// op1-kinds overridden by a same-target repN/del (rule O1): everything
-// except the sibling insertions (their effect survives the target's
-// removal) and repN itself.
-bool IsO1Overridable(OpKind kind) {
-  switch (kind) {
-    case OpKind::kRename:
-    case OpKind::kReplaceValue:
-    case OpKind::kReplaceChildren:
-    case OpKind::kDelete:
-    case OpKind::kInsFirst:
-    case OpKind::kInsLast:
-    case OpKind::kInsInto:
-    case OpKind::kInsAttributes:
-      return true;
-    default:
-      return false;
-  }
+// Figure 2's name for a same-target override by `overrider`.
+const char* SameTargetRule(OpKind overrider) {
+  return overrider == OpKind::kReplaceChildren ? "O2" : "O1";
 }
 
 // One candidate rule application: ops in their rule roles plus the merge
@@ -118,7 +99,8 @@ class Reducer {
   // constituent sets are disjoint, so min-rank inheritance keeps the ids
   // unique across the whole run.
   std::string Id(int i) const {
-    return "#" + std::to_string(rank_[static_cast<size_t>(i)]);
+    return std::string("#").append(
+        std::to_string(rank_[static_cast<size_t>(i)]));
   }
 
   // Trace lane of op i's component; null when not tracing.
@@ -249,44 +231,26 @@ class Reducer {
 
 bool Reducer::TryDropRules(int i) {
   const UpdateOp& op = Op(i);
-  // O1, as the overridden side.
-  if (IsO1Overridable(op.kind)) {
-    int killer = FirstPartner(op.target, OpKind::kReplaceNode, i);
-    if (killer < 0) killer = FirstPartner(op.target, OpKind::kDelete, i);
+  // O1/O2, as the overridden side: the first partner of the first
+  // overriding kind, repN before del before repC.
+  for (OpKind kind : {OpKind::kReplaceNode, OpKind::kDelete,
+                      OpKind::kReplaceChildren}) {
+    if (!pul::OverridesSameTarget(kind, op.kind)) continue;
+    int killer = FirstPartner(op.target, kind, i);
     if (killer >= 0) {
-      EmitKill("O1", killer, i);
+      EmitKill(SameTargetRule(kind), killer, i);
       Kill(i);
       return true;
     }
   }
-  // O1, as the overriding side: drop overridable partners.
-  if (op.kind == OpKind::kReplaceNode || op.kind == OpKind::kDelete) {
-    for (int32_t j = by_target_.Head(op.target); j >= 0;
-         j = by_target_.Next(j)) {
-      if (j != i && Alive(j) && IsO1Overridable(Op(j).kind)) {
-        EmitKill("O1", i, j);
-        Kill(j);
-        return true;
-      }
-    }
-  }
-  // O2: child insertions overridden by a same-target repC.
-  if (IsChildInsertion(op.kind)) {
-    int killer = FirstPartner(op.target, OpKind::kReplaceChildren, i);
-    if (killer >= 0) {
-      EmitKill("O2", killer, i);
-      Kill(i);
+  // As the overriding side: drop the first overridden partner.
+  if (!pul::OverridesSubtree(op.kind)) return false;
+  for (int32_t j = by_target_.Head(op.target); j >= 0;
+       j = by_target_.Next(j)) {
+    if (j != i && Alive(j) && pul::OverridesSameTarget(op.kind, Op(j).kind)) {
+      EmitKill(SameTargetRule(op.kind), i, j);
+      Kill(j);
       return true;
-    }
-  }
-  if (op.kind == OpKind::kReplaceChildren) {
-    for (int32_t j = by_target_.Head(op.target); j >= 0;
-         j = by_target_.Next(j)) {
-      if (j != i && Alive(j) && IsChildInsertion(Op(j).kind)) {
-        EmitKill("O2", i, j);
-        Kill(j);
-        return true;
-      }
     }
   }
   return false;

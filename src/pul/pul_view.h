@@ -13,7 +13,8 @@
 // aggregate) and the static analyses. Their hot loops are document-order
 // sweeps over containment intervals and joins over operations that share
 // a target; this header holds the one interval sweep, the one subtree
-// override rule those sweeps apply, and the flat target join. The loops
+// override rule those sweeps apply, the one same-target override rule
+// the joins apply, and the flat target join. The loops
 // touch order keys, kinds and target ids; labels, parameter trees and
 // strings stay in the owning Pul and are never copied per phase.
 
@@ -86,6 +87,46 @@ class TargetIndex {
 // come in order of their first operation, each in listing order.
 std::vector<std::vector<int>> PartitionByTargetSubtree(
     const std::vector<UpdateOp>& ops);
+
+// repN with an empty replacement list behaves exactly like del
+// (footnote 3 of the paper); the conflict rules treat it as del.
+inline OpKind EffectiveKind(const UpdateOp& op) {
+  if (op.kind == OpKind::kReplaceNode && op.param_trees.empty()) {
+    return OpKind::kDelete;
+  }
+  return op.kind;
+}
+
+// Kinds two same-target ops of which conflict as a repeated modification
+// (conflict type 1) or over their insertion order (type 3).
+inline bool IsType1Kind(OpKind kind) {
+  return kind == OpKind::kRename || kind == OpKind::kReplaceNode ||
+         kind == OpKind::kReplaceChildren || kind == OpKind::kReplaceValue;
+}
+inline bool IsType3Kind(OpKind kind) {
+  return kind == OpKind::kInsBefore || kind == OpKind::kInsAfter ||
+         kind == OpKind::kInsFirst || kind == OpKind::kInsLast;
+}
+
+// Whether an op of `overrider` kind makes an op of `other` kind on the
+// same target ineffective (rules O1/O2, conflict type 4): repN and del
+// override everything but the sibling insertions and repN, repC
+// overrides the child insertions, so only the OverridesSubtree kinds
+// override anything. Callers keep their own exemptions: an op never
+// overrides itself, and two dels are no conflict.
+inline bool OverridesSameTarget(OpKind overrider, OpKind other) {
+  switch (overrider) {
+    case OpKind::kReplaceNode:
+    case OpKind::kDelete:
+      return other != OpKind::kInsBefore && other != OpKind::kInsAfter &&
+             other != OpKind::kReplaceNode;
+    case OpKind::kReplaceChildren:
+      return other == OpKind::kInsFirst || other == OpKind::kInsInto ||
+             other == OpKind::kInsLast;
+    default:
+      return false;
+  }
+}
 
 // Kinds whose target subtree overrides the operations inside it (rules
 // O3/O4, conflict type 5): repN and del remove the whole subtree, repC

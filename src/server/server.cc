@@ -651,7 +651,8 @@ Server::ResponseThunk Server::HandleCommitDeferred(const Message& request) {
     if (respond.enabled()) {
       respond.Emit(obs::EventKind::kNote, "commit.done", {},
                    result.status.ok()
-                       ? "v" + std::to_string(result.version)
+                       ? std::string("v").append(
+                             std::to_string(result.version))
                        : std::string(StatusCodeToString(result.status.code())));
       respond.Emit(obs::EventKind::kSpanEnd, "commit.respond");
     }
@@ -949,7 +950,7 @@ void Server::CommitGroup(Tenant* tenant, const std::vector<CommitJob*>& jobs,
       lanes[i].Emit(
           obs::EventKind::kSpanEnd, "commit.store", {},
           i < out.size() && out[i].status.ok()
-              ? "v" + std::to_string(out[i].version)
+              ? std::string("v").append(std::to_string(out[i].version))
               : std::string(StatusCodeToString(
                     i < out.size() ? out[i].status.code()
                                    : StatusCode::kInternal)));

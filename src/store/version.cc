@@ -1,7 +1,6 @@
 #include "store/version.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -28,103 +27,6 @@ WalOptions ToWalOptions(const StoreOptions& options) {
   wal.fail_after_bytes = options.fail_after_bytes;
   wal.metrics = options.metrics;
   return wal;
-}
-
-// Kinds a same-target repN/del overrides (O1's overridable set; mirrors
-// core/invert.cc, which enforces exactly these as preconditions).
-bool IsO1Overridable(pul::OpKind kind) {
-  switch (kind) {
-    case pul::OpKind::kRename:
-    case pul::OpKind::kReplaceValue:
-    case pul::OpKind::kReplaceChildren:
-    case pul::OpKind::kDelete:
-    case pul::OpKind::kInsFirst:
-    case pul::OpKind::kInsLast:
-    case pul::OpKind::kInsInto:
-    case pul::OpKind::kInsAttributes:
-      return true;
-    default:
-      return false;
-  }
-}
-
-// Drops every operation the O-rules override, judged against the
-// pre-state document instead of the operation labels: labels inside an
-// aggregated PUL can predate the document state and miss ancestor
-// relations the document itself exhibits. Overridden operations have no
-// effect on Apply, so the filtered PUL is Apply-equivalent; it exists so
-// core/invert's O-irreducibility precondition holds.
-Result<pul::Pul> DropOverriddenOps(const xml::Document& doc,
-                                   const pul::Pul& pul) {
-  const auto& ops = pul.ops();
-  std::vector<bool> drop(ops.size(), false);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // Same-target overrides (O1, and repC vs child insertions).
-    std::unordered_map<xml::NodeId, std::vector<size_t>> by_target;
-    for (size_t i = 0; i < ops.size(); ++i) {
-      if (!drop[i]) by_target[ops[i].target].push_back(i);
-    }
-    for (const auto& [target, indexes] : by_target) {
-      size_t killer = ops.size();
-      bool has_repc = false;
-      for (size_t i : indexes) {
-        if (ops[i].kind == pul::OpKind::kDelete ||
-            ops[i].kind == pul::OpKind::kReplaceNode) {
-          killer = i;
-        }
-        if (ops[i].kind == pul::OpKind::kReplaceChildren) has_repc = true;
-      }
-      for (size_t i : indexes) {
-        if (killer != ops.size() && i != killer &&
-            IsO1Overridable(ops[i].kind)) {
-          drop[i] = true;
-          changed = true;
-        }
-        if (has_repc && (ops[i].kind == pul::OpKind::kInsFirst ||
-                         ops[i].kind == pul::OpKind::kInsInto ||
-                         ops[i].kind == pul::OpKind::kInsLast)) {
-          drop[i] = true;
-          changed = true;
-        }
-      }
-    }
-    // Nested overrides: operations inside a killed subtree (del/repN)
-    // or under a surviving repC target (attributes of the target itself
-    // excepted, matching core/invert.cc).
-    for (size_t k = 0; k < ops.size(); ++k) {
-      if (drop[k]) continue;
-      bool kills_subtree = ops[k].kind == pul::OpKind::kDelete ||
-                           ops[k].kind == pul::OpKind::kReplaceNode;
-      bool is_repc = ops[k].kind == pul::OpKind::kReplaceChildren;
-      if (!kills_subtree && !is_repc) continue;
-      for (size_t i = 0; i < ops.size(); ++i) {
-        if (drop[i] || i == k) continue;
-        if (!doc.IsAncestor(ops[k].target, ops[i].target)) continue;
-        if (is_repc && doc.parent(ops[i].target) == ops[k].target &&
-            doc.type(ops[i].target) == xml::NodeType::kAttribute) {
-          continue;
-        }
-        drop[i] = true;
-        changed = true;
-      }
-    }
-  }
-  if (std::find(drop.begin(), drop.end(), true) == drop.end()) return pul;
-  pul::Pul out;
-  out.set_policies(pul.policies());
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (drop[i]) continue;
-    pul::UpdateOp op = ops[i];
-    for (xml::NodeId& root : op.param_trees) {
-      XUPDATE_ASSIGN_OR_RETURN(
-          root, out.forest().AdoptSubtree(pul.forest(), root,
-                                          /*preserve_ids=*/true, nullptr));
-    }
-    XUPDATE_RETURN_IF_ERROR(out.AddOp(std::move(op)));
-  }
-  return out;
 }
 
 }  // namespace
@@ -610,16 +512,27 @@ Result<pul::Pul> VersionStore::UndoFor(uint64_t v) const {
 Result<pul::Pul> VersionStore::ComputeUndo(const xml::Document& pre,
                                            const pul::Pul& pul,
                                            const StoreOptions& options) {
+  // Stored PULs can carry labels from other labelings (an aggregated
+  // PUL's predate the state it applies to); relabeled from `pre`, the
+  // O-rules of Reduce see exactly the overrides the document exhibits.
+  label::Labeling labeling = label::Labeling::Build(pre);
+  pul::Pul relabeled = pul;
+  for (pul::UpdateOp& op : relabeled.mutable_ops()) {
+    const label::NodeLabel* label = labeling.Find(op.target);
+    if (label == nullptr) {
+      return Status::NotApplicable("target node " +
+                                   std::to_string(op.target) +
+                                   " not in document");
+    }
+    op.target_label = *label;
+  }
   core::ReduceOptions reduce_options;
   reduce_options.mode = core::ReduceMode::kDeterministic;
   reduce_options.parallelism = options.parallelism;
   reduce_options.metrics = options.metrics;
   XUPDATE_ASSIGN_OR_RETURN(pul::Pul reduced,
-                           core::Reduce(pul, reduce_options));
-  XUPDATE_ASSIGN_OR_RETURN(pul::Pul filtered,
-                           DropOverriddenOps(pre, reduced));
-  label::Labeling labeling = label::Labeling::Build(pre);
-  return core::Invert(pre, labeling, filtered);
+                           core::Reduce(relabeled, reduce_options));
+  return core::Invert(pre, labeling, reduced);
 }
 
 Result<uint64_t> VersionStore::Rollback(uint64_t to) {

@@ -360,12 +360,12 @@ class VersionStore {
   static Result<std::string> SerializeAnnotated(const xml::Document& doc);
 
   // The store's canonical undo formula, shared by rollback and
-  // compaction so their deltas agree byte-for-byte: deterministic
-  // reduction of `pul`, a document-grounded drop of operations the
-  // O-rules override (labels inside an aggregated PUL can be too stale
-  // for the label-based engine to see every override; the pre-state
-  // document is ground truth and overridden operations have no effect
-  // on Apply), then core/invert against `pre`.
+  // compaction so their deltas agree byte-for-byte: every op target is
+  // relabeled from the labeling of `pre` (labels inside an aggregated
+  // PUL can predate the state and miss overrides the document
+  // exhibits; a target `pre` lacks is kNotApplicable), then the PUL is
+  // reduced deterministically, which drops exactly the operations the
+  // O-rules override, and inverted against `pre` with that labeling.
   static Result<pul::Pul> ComputeUndo(const xml::Document& pre,
                                       const pul::Pul& pul,
                                       const StoreOptions& options);

@@ -428,7 +428,8 @@ Result<std::vector<Pul>> PulGenerator::GenerateConflicting(
         for (size_t m = 0; m < members; ++m) {
           size_t p = pul_at(m);
           NodeId attr = puls[p].NewAttributeParam(
-              "shared" + std::to_string(c), "v" + std::to_string(m));
+              std::string("shared").append(std::to_string(c)),
+              std::string("v").append(std::to_string(m)));
           XUPDATE_RETURN_IF_ERROR(puls[p].AddTreeOp(
               OpKind::kInsAttributes, target, labeling_, {attr}));
         }

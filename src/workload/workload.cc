@@ -94,7 +94,7 @@ Result<Workload> GenerateWorkload(const WorkloadOptions& options) {
   std::vector<std::vector<std::string>> commit_chains(options.num_tenants);
   std::vector<std::vector<std::string>> reduce_puls(options.num_tenants);
   for (size_t t = 0; t < options.num_tenants; ++t) {
-    out.tenants.push_back("t" + std::to_string(t));
+    out.tenants.push_back(std::string("t").append(std::to_string(t)));
     xmark::Config config;
     config.seed = TenantSeed(options.seed, t, 0);
     config.target_bytes = options.doc_bytes;

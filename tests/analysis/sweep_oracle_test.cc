@@ -270,13 +270,6 @@ TEST(SweepOracleTest, SingletonPulSweepsMatchBruteForce) {
   EXPECT_GT(identity_puls, 0u);
 }
 
-OpKind EffectiveKind(const UpdateOp& op) {
-  if (op.kind == OpKind::kReplaceNode && op.param_trees.empty()) {
-    return OpKind::kDelete;
-  }
-  return op.kind;
-}
-
 // Conflict type 5 by brute force, for one direction: the first
 // overriding op of `over` in (start code, index) order with an op of
 // `inner` strictly inside its target, paired with the first such inner
@@ -295,14 +288,14 @@ bool ReferenceNonLocalOverride(const Pul& over, const Pul& inner,
   };
   for (int o : by_start(over)) {
     const UpdateOp& overrider = over.ops()[static_cast<size_t>(o)];
-    OpKind kind = EffectiveKind(overrider);
+    OpKind kind = pul::EffectiveKind(overrider);
     if (!IsSubtreeKiller(kind)) continue;
     for (int i : by_start(inner)) {
       const UpdateOp& op = inner.ops()[static_cast<size_t>(i)];
       if (!label::IsDescendantOf(op.target_label, overrider.target_label)) {
         continue;
       }
-      if (EffectiveKind(op) == OpKind::kDelete) continue;
+      if (pul::EffectiveKind(op) == OpKind::kDelete) continue;
       if (kind == OpKind::kReplaceChildren &&
           op.target_label.parent == overrider.target &&
           op.target_label.type == NodeType::kAttribute) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "common/random.h"
 #include "core/reduce.h"
@@ -187,6 +188,48 @@ TEST_F(InvertTest, RejectsOReduciblePuls) {
     EXPECT_EQ(Invert(doc_, labeling_, p).status().code(),
               StatusCode::kInvalidArgument);
   }
+}
+
+TEST_F(InvertTest, RejectsSameTargetOverrideInEitherListingOrder) {
+  // repN overrides a same-target del (rule O1), wherever it is listed.
+  for (bool repn_first : {true, false}) {
+    Pul p = MakePul();
+    auto r = p.AddFragment("<r/>");
+    if (!repn_first) {
+      ASSERT_TRUE(p.AddDelete(5, labeling_).ok());
+    }
+    ASSERT_TRUE(p.AddTreeOp(OpKind::kReplaceNode, 5, labeling_, {*r}).ok());
+    if (repn_first) {
+      ASSERT_TRUE(p.AddDelete(5, labeling_).ok());
+    }
+    Status status = Invert(doc_, labeling_, p).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("O-reducible"), std::string::npos)
+        << (repn_first ? "repN first: " : "del first: ") << status;
+  }
+}
+
+TEST_F(InvertTest, ReplaceChildrenKeepsOpsOnItsTargetsAttributes) {
+  // repC replaces only the children, so an op on an attribute of the
+  // repC target is not overridden and inverts with it.
+  Pul p = MakePul();
+  NodeId t = p.NewTextParam("flat");
+  ASSERT_TRUE(p.AddTreeOp(OpKind::kReplaceChildren, 7, labeling_, {t}).ok());
+  ASSERT_TRUE(p.AddStringOp(OpKind::kReplaceValue, 9, labeling_, "07").ok());
+  CheckRoundTrip(p);
+}
+
+TEST_F(InvertTest, TargetOutsideTheDocumentIsNotApplicable) {
+  // Reported before the O-irreducibility verdict of the other ops.
+  Pul p = MakePul();
+  ASSERT_TRUE(p.AddStringOp(OpKind::kRename, 5, labeling_, "x").ok());
+  ASSERT_TRUE(p.AddDelete(5, labeling_).ok());
+  pul::UpdateOp missing;
+  missing.kind = OpKind::kDelete;
+  missing.target = doc_.max_assigned_id() + 100;
+  ASSERT_TRUE(p.AddOp(std::move(missing)).ok());
+  EXPECT_EQ(Invert(doc_, labeling_, p).status().code(),
+            StatusCode::kNotApplicable);
 }
 
 TEST_F(InvertTest, RejectsRootRemoval) {

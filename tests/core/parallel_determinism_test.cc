@@ -132,7 +132,7 @@ TEST_F(ParallelDeterminismTest, ReducePackingNeverSplitsAComponent) {
   Pul alone;
   alone.BindIdSpace(doc_->max_assigned_id() + 1);
   for (int k = 0; k < 100; ++k) {
-    std::string text = "t" + std::to_string(k);
+    std::string text = std::string("t").append(std::to_string(k));
     ASSERT_TRUE(mixed
                     .AddTreeOp(pul::OpKind::kInsLast, parent, *labeling_,
                                {mixed.NewTextParam(text)})

@@ -68,7 +68,8 @@ class ReconcileTest : public ::testing::Test {
     std::multiset<std::string> out;
     for (const pul::UpdateOp& op : pul.ops()) {
       std::string s(pul::OpKindName(op.kind));
-      s += "(" + std::to_string(op.target);
+      s += "(";
+      s += std::to_string(op.target);
       for (NodeId r : op.param_trees) {
         s += ",";
         switch (pul.forest().type(r)) {
@@ -81,8 +82,9 @@ class ReconcileTest : public ::testing::Test {
             s += "t'" + pul.forest().value(r) + "'";
             break;
           case xml::NodeType::kAttribute:
-            s += "@" + std::string(pul.forest().name(r)) + "=" +
-                 pul.forest().value(r);
+            s += "@";
+            s += pul.forest().name(r);
+            s += "=" + pul.forest().value(r);
             break;
         }
       }

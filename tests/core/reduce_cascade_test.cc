@@ -51,10 +51,12 @@ class CascadeTest : public ::testing::Test {
     std::multiset<std::string> out;
     for (const UpdateOp& op : reduced->ops()) {
       std::string s(pul::OpKindName(op.kind));
-      s += "(" + std::to_string(op.target);
+      s += "(";
+      s += std::to_string(op.target);
       for (NodeId r : op.param_trees) {
         auto text = xml::SerializeSubtree(reduced->forest(), r, {});
-        s += "," + (text.ok() ? *text : "?");
+        s += ",";
+        s += text.ok() ? *text : "?";
       }
       s += ")";
       out.insert(std::move(s));

@@ -24,7 +24,8 @@ using xml::NodeId;
 
 std::string Fingerprint(const Pul& pul, const UpdateOp& op) {
   std::string out(pul::OpKindName(op.kind));
-  out += "(" + std::to_string(op.target);
+  out += "(";
+  out += std::to_string(op.target);
   for (NodeId r : op.param_trees) {
     out += ",";
     switch (pul.forest().type(r)) {
@@ -37,8 +38,9 @@ std::string Fingerprint(const Pul& pul, const UpdateOp& op) {
         out += "t'" + pul.forest().value(r) + "'";
         break;
       case xml::NodeType::kAttribute:
-        out += "@" + std::string(pul.forest().name(r)) + "=" +
-               pul.forest().value(r);
+        out += "@";
+        out += pul.forest().name(r);
+        out += "=" + pul.forest().value(r);
         break;
     }
   }
@@ -385,7 +387,8 @@ TEST_P(ReducePropertyTest, ReductionContracts) {
         if (tt != xml::NodeType::kElement) break;
         (void)pul.AddTreeOp(
             kind, target, labeling,
-            {pul.NewAttributeParam("g" + std::to_string(fresh++), "v")});
+            {pul.NewAttributeParam(
+                  std::string("g").append(std::to_string(fresh++)), "v")});
         break;
       case OpKind::kDelete:
         if (target == doc.root()) break;
@@ -397,7 +400,8 @@ TEST_P(ReducePropertyTest, ReductionContracts) {
         if (tt == xml::NodeType::kAttribute) {
           (void)pul.AddTreeOp(
               kind, target, labeling,
-              {pul.NewAttributeParam("r" + std::to_string(fresh++), "v")});
+              {pul.NewAttributeParam(
+                  std::string("r").append(std::to_string(fresh++)), "v")});
         } else {
           (void)pul.AddTreeOp(kind, target, labeling, {frag()});
         }

@@ -53,7 +53,8 @@ Document Example5Document() {
 // comparison independent of op order.
 std::string Fingerprint(const Pul& pul, const UpdateOp& op) {
   std::string out(pul::OpKindName(op.kind));
-  out += "(" + std::to_string(op.target);
+  out += "(";
+  out += std::to_string(op.target);
   for (NodeId r : op.param_trees) {
     out += ", ";
     if (pul.forest().type(r) == xml::NodeType::kElement) {

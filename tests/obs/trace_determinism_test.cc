@@ -126,7 +126,7 @@ TEST_F(TraceDeterminismTest, EveryInputOpHasAProvenanceChain) {
   }
   size_t survivors = 0;
   for (size_t i = 0; i < pul.size(); ++i) {
-    EXPECT_TRUE(ids.count("#" + std::to_string(i)))
+    EXPECT_TRUE(ids.count(std::string("#").append(std::to_string(i))))
         << "missing chain for op #" << i;
   }
   for (const ProvenanceChain& chain : report->chains) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <span>
 #include <string>
 #include <utility>
@@ -24,6 +25,35 @@ NodeLabel Interval(const std::string& start, const std::string& end) {
   label.start = BitString::FromBits(start);
   label.end = BitString::FromBits(end);
   return label;
+}
+
+// Rules O1/O2 of Figure 2 over all 11x11 kind pairs: a same-target repN
+// or del overrides ren, repV, repC, del, the child insertions and insA;
+// a repC overrides the child insertions; nothing else overrides.
+TEST(OverridesSameTargetTest, MatchesFigure2OnEveryKindPair) {
+  const std::set<OpKind> o1 = {
+      OpKind::kRename,   OpKind::kReplaceValue, OpKind::kReplaceChildren,
+      OpKind::kDelete,   OpKind::kInsFirst,     OpKind::kInsLast,
+      OpKind::kInsInto,  OpKind::kInsAttributes};
+  const std::set<OpKind> o2 = {OpKind::kInsFirst, OpKind::kInsLast,
+                               OpKind::kInsInto};
+  int overriding_pairs = 0;
+  for (int a = 0; a < kNumOpKinds; ++a) {
+    for (int b = 0; b < kNumOpKinds; ++b) {
+      OpKind overrider = static_cast<OpKind>(a);
+      OpKind other = static_cast<OpKind>(b);
+      bool want = false;
+      if (overrider == OpKind::kReplaceNode || overrider == OpKind::kDelete) {
+        want = o1.count(other) != 0;
+      } else if (overrider == OpKind::kReplaceChildren) {
+        want = o2.count(other) != 0;
+      }
+      EXPECT_EQ(OverridesSameTarget(overrider, other), want)
+          << OpKindName(overrider) << " over " << OpKindName(other);
+      overriding_pairs += want ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(overriding_pairs, 2 * 8 + 3);
 }
 
 // Visiting order of a sweep that opens nothing, as (start bits, rank).

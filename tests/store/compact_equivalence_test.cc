@@ -83,7 +83,8 @@ TEST_F(CompactEquivalenceTest, CheckoutBytesIdenticalAcrossCompaction) {
   for (int parallelism : {1, 4}) {
     SCOPED_TRACE("parallelism=" + std::to_string(parallelism));
     std::string path = BuildStore(
-        "p" + std::to_string(parallelism), parallelism, /*seed=*/1234);
+        std::string("p").append(std::to_string(parallelism)), parallelism,
+        /*seed=*/1234);
     auto store = VersionStore::Open(path, OptionsFor(parallelism));
     ASSERT_TRUE(store.ok()) << store.status();
     ASSERT_EQ(store->head(), kVersions);

@@ -132,7 +132,8 @@ inline xml::Document RandomDocument(Rng& rng, size_t max_nodes = 24) {
       if (!kids.empty() && doc.type(kids.back()) == xml::NodeType::kText) {
         continue;
       }
-      xml::NodeId text = doc.NewText("t" + std::to_string(rng.Below(10)));
+      xml::NodeId text = doc.NewText(
+          std::string("t").append(std::to_string(rng.Below(10))));
       (void)doc.AppendChild(parent, text);
     } else {
       // Avoid duplicate attribute names on one element.
@@ -143,7 +144,8 @@ inline xml::Document RandomDocument(Rng& rng, size_t max_nodes = 24) {
       }
       if (dup) continue;
       xml::NodeId attr =
-          doc.NewAttribute(name, "v" + std::to_string(rng.Below(10)));
+          doc.NewAttribute(
+              name, std::string("v").append(std::to_string(rng.Below(10))));
       (void)doc.AddAttribute(parent, attr);
     }
     ++nodes;

@@ -673,7 +673,7 @@ TEST_F(CliTest, NumericFlagRejectsOutOfRangeValues) {
 
 TEST_F(CliTest, NumericFlagRejectsEmbeddedJunkAndSpaces) {
   std::ostringstream out;
-  for (const std::string& bad : {"1 2", "0x10", "3.5", "", "+4"}) {
+  for (std::string bad : {"1 2", "0x10", "3.5", "", "+4"}) {
     Status status = RunCli({"store", "log", "--dir", Path("store"),
                             "--snapshot-every=" + bad},
                            out);

@@ -13,7 +13,8 @@ class Recorder : public SaxHandler {
  public:
   Status StartElement(std::string_view name,
                       std::span<const SaxAttribute> attrs) override {
-    std::string e = "<" + std::string(name);
+    std::string e = "<";
+    e += name;
     for (const auto& a : attrs) e += " " + a.name + "=" + a.value;
     events.push_back(e);
     return Status::OK();

@@ -42,7 +42,7 @@ class PathTest : public ::testing::Test {
       if (doc_.type(id) == xml::NodeType::kText) {
         out.push_back("#" + doc_.value(id));
       } else if (doc_.type(id) == xml::NodeType::kAttribute) {
-        out.push_back("@" + std::string(doc_.name(id)) + "=" +
+        out.push_back(std::string("@").append(doc_.name(id)) + "=" +
                       doc_.value(id));
       } else {
         out.push_back(std::string(doc_.name(id)));

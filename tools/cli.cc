@@ -633,7 +633,10 @@ Status CmdAnalyze(const Args& args, std::ostream& out) {
     lane = tracer.Lane(tracer.NextPhase(), 0, "analyze");
   }
   auto ref = [](size_t pul, int op) {
-    return "P" + std::to_string(pul) + "#" + std::to_string(op);
+    return std::string("P")
+        .append(std::to_string(pul))
+        .append("#")
+        .append(std::to_string(op));
   };
   std::ostringstream json;
   json << "{\"puls\":[";
@@ -663,7 +666,7 @@ Status CmdAnalyze(const Args& args, std::ostream& out) {
                   d.message);
       }
       lane.Emit(obs::EventKind::kNote, "prediction", {}, {},
-                "P" + std::to_string(i) + ": " +
+                std::string("P").append(std::to_string(i)) + ": " +
                     std::to_string(prediction.input_ops) + " ops, <= " +
                     std::to_string(prediction.surviving_upper_bound) +
                     " survive");
