@@ -46,7 +46,7 @@ void BM_ReduceByDensity(benchmark::State& state) {
   core::ReduceStats stats;
   for (auto _ : state) {
     auto reduced =
-        core::ReduceWithStats(pul, core::ReduceMode::kPlain, &stats);
+        core::Reduce(pul, {.mode = core::ReduceMode::kPlain}, &stats);
     if (!reduced.ok()) {
       state.SkipWithError(reduced.status().ToString().c_str());
       return;

@@ -57,7 +57,7 @@ void BM_ReduceFullPipeline(benchmark::State& state) {
       return;
     }
     auto reduced =
-        core::ReduceWithStats(*parsed, core::ReduceMode::kPlain, &stats);
+        core::Reduce(*parsed, {.mode = core::ReduceMode::kPlain}, &stats);
     if (!reduced.ok()) {
       state.SkipWithError(reduced.status().ToString().c_str());
       return;

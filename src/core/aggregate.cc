@@ -311,13 +311,10 @@ Result<Pul> Aggregator::Run(AggregateStats* stats) {
       std::vector<std::string> ids;
       ids.reserve(puls_[k]->size());
       for (size_t o = 0; o < puls_[k]->size(); ++o) {
-        ids.push_back(std::string("P")
-                          .append(std::to_string(k))
-                          .append("#")
-                          .append(std::to_string(o)));
+        ids.push_back(obs::RefId(k, o));
       }
       lane_.Emit(obs::EventKind::kNote, "input", std::move(ids), {},
-                 "P" + std::to_string(k));
+                 std::string("P").append(std::to_string(k)));
     }
   }
 
@@ -352,10 +349,7 @@ Result<Pul> Aggregator::Run(AggregateStats* stats) {
       }
       for (const UpdateOp* op : staged) {
         if (lane_.enabled()) {
-          cur_ref_ = std::string("P")
-                         .append(std::to_string(k))
-                         .append("#")
-                         .append(std::to_string(op - src.ops().data()));
+          cur_ref_ = obs::RefId(k, op - src.ops().data());
         }
         if (forest().Exists(op->target)) {
           // Target inserted by an earlier PUL of the sequence: rule D6.

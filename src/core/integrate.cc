@@ -28,14 +28,6 @@ using pul::Pul;
 using pul::UpdateOp;
 using xml::NodeId;
 
-// Stable trace id of an input operation: PUL index + listing index.
-std::string RefId(const OpRef& ref) {
-  return std::string("P")
-      .append(std::to_string(ref.pul))
-      .append("#")
-      .append(std::to_string(ref.op));
-}
-
 struct TaggedOp {
   OpRef ref;
   const UpdateOp* op = nullptr;
@@ -302,7 +294,8 @@ Result<IntegrationResult> Integrator::Run() {
       std::vector<std::string> ids;
       ids.reserve(puls_[p]->size());
       for (size_t o = 0; o < puls_[p]->size(); ++o) {
-        ids.push_back(RefId(tagged_[cursor + o].ref));
+        const OpRef& r = tagged_[cursor + o].ref;
+        ids.push_back(obs::RefId(r.pul, r.op));
       }
       cursor += puls_[p]->size();
       input_lane.Emit(obs::EventKind::kNote, "input", std::move(ids), {},
@@ -352,7 +345,8 @@ Result<IntegrationResult> Integrator::Run() {
             result.merged.AdoptOp(t.owner->forest(), *t.op));
         if (tracing) {
           input_lane.Emit(obs::EventKind::kOpSurvived,
-                          pul::OpKindName(t.op->kind), {RefId(t.ref)},
+                          pul::OpKindName(t.op->kind),
+                          {obs::RefId(t.ref.pul, t.ref.op)},
                           "merged#" + std::to_string(j));
         }
         ++j;
@@ -437,7 +431,7 @@ Result<IntegrationResult> Integrator::Run() {
       std::vector<std::string> ids;
       for (size_t gi = begin; gi < end; ++gi) {
         for (const TaggedOp* t : groups_[gi].ops) {
-          ids.push_back(RefId(t->ref));
+          ids.push_back(obs::RefId(t->ref.pul, t->ref.op));
         }
       }
       shard_lanes[s].Emit(obs::EventKind::kShardAssigned, "shard",
@@ -464,11 +458,12 @@ Result<IntegrationResult> Integrator::Run() {
       auto emit_conflict = [&](const Conflict& c) {
         std::vector<std::string> ids;
         ids.reserve(c.ops.size());
-        for (const OpRef& r : c.ops) ids.push_back(RefId(r));
+        for (const OpRef& r : c.ops) ids.push_back(obs::RefId(r.pul, r.op));
         shard_lanes[s].Emit(
             obs::EventKind::kConflictDetected, ConflictTypeName(c.type),
             std::move(ids),
-            c.symmetric() ? std::string() : RefId(c.overrider));
+            c.symmetric() ? std::string()
+                          : obs::RefId(c.overrider.pul, c.overrider.op));
       };
       for (const Conflict& c : locals[s]) emit_conflict(c);
       for (const Conflict& c : nonlocals[s]) emit_conflict(c);
@@ -520,7 +515,8 @@ Result<IntegrationResult> Integrator::Run() {
         result.merged.AdoptOp(t.owner->forest(), *t.op));
     if (tracing) {
       merge_lane.Emit(obs::EventKind::kOpSurvived,
-                      pul::OpKindName(t.op->kind), {RefId(t.ref)},
+                      pul::OpKindName(t.op->kind),
+                      {obs::RefId(t.ref.pul, t.ref.op)},
                       "merged#" + std::to_string(j));
     }
     ++j;

@@ -52,16 +52,10 @@ struct RefLess {
 };
 
 // Stable trace ids, matching the integrate journal.
-std::string RefId(const OpRef& ref) {
-  return std::string("P")
-      .append(std::to_string(ref.pul))
-      .append("#")
-      .append(std::to_string(ref.op));
-}
 std::vector<std::string> RefIds(const std::vector<OpRef>& refs) {
   std::vector<std::string> ids;
   ids.reserve(refs.size());
-  for (const OpRef& r : refs) ids.push_back(RefId(r));
+  for (const OpRef& r : refs) ids.push_back(obs::RefId(r.pul, r.op));
   return ids;
 }
 
@@ -181,7 +175,8 @@ Status Reconciler::Solve(const Conflict& conflict) {
       if (lane_.enabled()) {
         lane_.Emit(obs::EventKind::kPolicyApplied, "auto-solved",
                    RefIds(conflict.ops),
-                   live.empty() ? std::string() : RefId(live[0]),
+                   live.empty() ? std::string()
+                                : obs::RefId(live[0].pul, live[0].op),
                    "at most one member still live");
       }
       return Status::OK();
@@ -206,7 +201,7 @@ Status Reconciler::Solve(const Conflict& conflict) {
     }
     if (lane_.enabled()) {
       lane_.Emit(obs::EventKind::kPolicyApplied, "keep-one", RefIds(live),
-                 RefId(keep), "all other members excluded");
+                 obs::RefId(keep.pul, keep.op), "all other members excluded");
     }
     return Status::OK();
   }
@@ -231,7 +226,8 @@ Status Reconciler::Solve(const Conflict& conflict) {
     for (const OpRef& r : live) Exclude(r);
     if (lane_.enabled()) {
       lane_.Emit(obs::EventKind::kPolicyApplied, "exclude-overridden",
-                 RefIds(live), RefId(conflict.overrider),
+                 RefIds(live),
+                 obs::RefId(conflict.overrider.pul, conflict.overrider.op),
                  "overrider wins; overridden side excludable");
     }
     return Status::OK();
@@ -240,7 +236,8 @@ Status Reconciler::Solve(const Conflict& conflict) {
     Exclude(conflict.overrider);
     if (lane_.enabled()) {
       lane_.Emit(obs::EventKind::kPolicyApplied, "exclude-overrider",
-                 {RefId(conflict.overrider)}, {},
+                 {obs::RefId(conflict.overrider.pul, conflict.overrider.op)},
+                 {},
                  "overridden side policy-protected");
     }
     return Status::OK();

@@ -32,23 +32,110 @@ const char* SameTargetRule(OpKind overrider) {
   return overrider == OpKind::kReplaceChildren ? "O2" : "O1";
 }
 
-// One candidate rule application: ops in their rule roles plus the merge
-// recipe (result kind, identity donor, parameter order).
-struct PairApp {
-  const char* rule;
-  int op1;
-  int op2;
-  OpKind result;
-  int shape;
-  int first;
-  int second;
+// Where a merge partner's target lies, seen from the anchor op's target.
+enum class Relation : uint8_t {
+  kSameTarget,   // the anchor's own target
+  kParent,       // parent of the anchor's non-attribute target
+  kAttrParent,   // parent of the anchor's attribute target
+  kFirstParent,  // parent of the anchor's target, a first child
+  kLastParent,   // parent of the anchor's target, a last child
+  kLeftSibling,  // left sibling of the anchor's non-attribute target
 };
 
+// I5's kind: any insertion kind, the same on both ops.
+constexpr OpKind kAnyInsertion = static_cast<OpKind>(0xff);
+
+// One merge rule of Figure 2: op1 = kind1(v1,L1) and op2 = kind2(v2,L2)
+// with v1, v2 in `relation` fold into one op of the `shape` op's kind on
+// its target, with parameters [L1,L2] — or [L2,L1] if `swap`.
+// The relation is read off the `anchor` op's label, since only targets
+// are indexed.
+struct MergeRule {
+  const char* name;
+  int stage;
+  OpKind kind1;
+  OpKind kind2;
+  Relation relation;
+  int anchor;  // role, 1 or 2
+  int shape;   // role, 1 or 2
+  bool swap;
+};
+
+using enum OpKind;
+using enum Relation;
+
+// Both drivers try a stage's rows in table order.
+// Columns: name, stage, kind1, kind2, relation, anchor, shape, swap.
+// IR19/IR20's parameter orders are the corrected ones (DESIGN.md §1).
+// clang-format off
+constexpr MergeRule kMergeRules[] = {
+  {"I5",   1, kAnyInsertion, kAnyInsertion,  kSameTarget,  1, 1, false},
+  {"I6",   2, kInsInto,      kInsFirst,      kSameTarget,  1, 2, true},
+  {"I7",   3, kInsInto,      kInsLast,       kSameTarget,  1, 2, false},
+  {"IR8",  4, kReplaceNode,  kInsBefore,     kSameTarget,  1, 1, true},
+  {"IR9",  4, kReplaceNode,  kInsAfter,      kSameTarget,  1, 1, false},
+  {"I10",  5, kInsInto,      kInsBefore,     kParent,      2, 2, false},
+  {"I11",  6, kInsInto,      kInsAfter,      kParent,      2, 2, true},
+  {"IR12", 7, kReplaceNode,  kInsInto,       kParent,      1, 1, false},
+  {"IR13", 8, kReplaceNode,  kInsAttributes, kAttrParent,  1, 1, false},
+  {"I14",  8, kInsBefore,    kInsFirst,      kFirstParent, 1, 1, true},
+  {"I15",  8, kInsAfter,     kInsLast,       kLastParent,  1, 1, false},
+  {"IR16", 8, kReplaceNode,  kInsFirst,      kFirstParent, 1, 1, true},
+  {"IR17", 8, kReplaceNode,  kInsLast,       kLastParent,  1, 1, false},
+  {"I18",  9, kInsBefore,    kInsAfter,      kLeftSibling, 1, 1, true},
+  {"IR19", 9, kReplaceNode,  kInsAfter,      kLeftSibling, 1, 1, true},
+  {"IR20", 9, kReplaceNode,  kInsBefore,     kLeftSibling, 2, 1, false},
+};
+// clang-format on
+
+// The lookup both drivers share: for `op` in `role` of `rule`, the
+// target whose TargetIndex chain holds its partners, with the partner
+// kind in `*partner_kind`; kInvalidNode if op's kind or label rules the
+// rule out. Roles other than the anchor are looked up on the same
+// target only.
+NodeId PartnerChain(const MergeRule& rule, int role, const UpdateOp& op,
+                    OpKind* partner_kind) {
+  OpKind mine = role == 1 ? rule.kind1 : rule.kind2;
+  OpKind other = role == 1 ? rule.kind2 : rule.kind1;
+  if (mine == kAnyInsertion) {
+    if (pul::ClassOf(op.kind) != OpClass::kInsertion) return kInvalidNode;
+    other = op.kind;
+  } else if (op.kind != mine) {
+    return kInvalidNode;
+  }
+  *partner_kind = other;
+  if (rule.relation == kSameTarget) return op.target;
+  const NodeLabel& lab = op.target_label;
+  if (!lab.valid()) return kInvalidNode;
+  bool attribute = lab.type == NodeType::kAttribute;
+  switch (rule.relation) {
+    case kParent:
+      return attribute ? kInvalidNode : lab.parent;
+    case kAttrParent:
+      return attribute ? lab.parent : kInvalidNode;
+    case kFirstParent:
+      return attribute || lab.left_sibling != kInvalidNode ? kInvalidNode
+                                                            : lab.parent;
+    case kLastParent:
+      return attribute || !lab.is_last_child ? kInvalidNode : lab.parent;
+    case kLeftSibling:
+      return attribute ? kInvalidNode : lab.left_sibling;
+    case kSameTarget:
+      break;
+  }
+  return kInvalidNode;
+}
+
 // Reduction engine over a working copy of the input PUL's operations.
-// Rules are found through O(1) hash lookups keyed on the structural
-// information carried in the operation labels (same target, parent,
-// left sibling); the A-D rules O3/O4 use one O(k log k) interval sweep
-// per pass — matching the paper's optimized algorithm (§3.1).
+// The merge rules come from kMergeRules through two drivers. The
+// worklist driver (plain and deterministic modes) fires, for each op in
+// turn, the first row of the stage that finds an alive partner through
+// PartnerChain — a TargetIndex lookup on the target its label names.
+// The canonical driver scans every anchor op of a stage's rows and fires
+// the <p-minimal pair of the first row that has one (Definition 9). The
+// drop rules O1/O2 use the same target chains; the A-D rules O3/O4 use
+// one O(k log k) interval sweep per pass — matching the paper's
+// optimized algorithm (§3.1).
 //
 // The engine works on the `chunk` operations (indices into input.ops(),
 // in listing order), reading the shared input forest but never touching
@@ -99,8 +186,7 @@ class Reducer {
   // constituent sets are disjoint, so min-rank inheritance keeps the ids
   // unique across the whole run.
   std::string Id(int i) const {
-    return std::string("#").append(
-        std::to_string(rank_[static_cast<size_t>(i)]));
+    return obs::RankId(rank_[static_cast<size_t>(i)]);
   }
 
   // Trace lane of op i's component; null when not tracing.
@@ -132,16 +218,8 @@ class Reducer {
     return index;
   }
 
-  // All alive ops with the given target and kind, excluding `exclude`.
-  // Chains preserve append order, so partner choice matches the order
-  // the per-target vectors used to produce.
-  void FindPartners(NodeId target, OpKind kind, int exclude,
-                    std::vector<int>* out) const {
-    for (int32_t j = by_target_.Head(target); j >= 0;
-         j = by_target_.Next(j)) {
-      if (j != exclude && Alive(j) && Op(j).kind == kind) out->push_back(j);
-    }
-  }
+  // The first alive op with the given target and kind other than
+  // `exclude`, in chain (append) order; -1 if none.
   int FirstPartner(NodeId target, OpKind kind, int exclude) const {
     for (int32_t j = by_target_.Head(target); j >= 0;
          j = by_target_.Next(j)) {
@@ -150,13 +228,13 @@ class Reducer {
     return -1;
   }
 
-  // Builds the merged operation of an I/IR rule. `first`/`second` give
-  // the parameter concatenation order; the result op's kind/target come
-  // from `shape_from`.
-  void ApplyMerge(const char* rule, OpKind result_kind, int shape_from,
-                  int first, int second) {
+  // Fires `rule` on ops op1 and op2 in their rule roles.
+  void ApplyMerge(const MergeRule& rule, int op1, int op2) {
+    int shape_from = rule.shape == 1 ? op1 : op2;
+    int first = rule.swap ? op2 : op1;
+    int second = rule.swap ? op1 : op2;
     UpdateOp merged;
-    merged.kind = result_kind;
+    merged.kind = Op(shape_from).kind;
     merged.target = Op(shape_from).target;
     merged.target_label = Op(shape_from).target_label;
     merged.param_trees = Op(first).param_trees;
@@ -169,8 +247,9 @@ class Reducer {
     if (second != first) alive_[static_cast<size_t>(second)] = 0;
     int index = AddMerged(std::move(merged), rank);
     if (obs::TraceLane* lane = Lane(index)) {
-      lane->Emit(obs::EventKind::kRuleFired, rule, {Id(first), Id(second)},
-                 Id(index), std::string(pul::OpKindName(result_kind)));
+      lane->Emit(obs::EventKind::kRuleFired, rule.name,
+                 {Id(first), Id(second)}, Id(index),
+                 std::string(pul::OpKindName(Op(index).kind)));
     }
     Enqueue(index);
   }
@@ -188,9 +267,9 @@ class Reducer {
     }
   }
 
-  // One merge-rule application attempt centered on op `i` for `stage`.
-  // Returns true if a rule fired (i or a partner may now be dead).
-  bool TryMergeRules(int stage, int i);
+  // Worklist driver: fires the first rule of `stage` that op `i` can
+  // join. Returns true if a rule fired (i or a partner may now be dead).
+  bool MergeFrom(int stage, int i);
   // Same-target drop rules O1/O2 centered on op `i`.
   bool TryDropRules(int i);
   // O3/O4: drops every op whose target lies strictly inside the interval
@@ -201,9 +280,6 @@ class Reducer {
   bool StageFixpoint(int stage);
   // One canonical-order application for `stage`; true if something fired.
   bool CanonicalStageStep(int stage);
-  // All applicable ordered pairs of the rule-within-stage.
-  void CollectRulePairs(int stage, int rule, std::vector<PairApp>* out);
-  static int RulesInStage(int stage);
 
   // <o sort key (document order of targets, then parameter order).
   const std::string& OpKey(int i);
@@ -256,208 +332,37 @@ bool Reducer::TryDropRules(int i) {
   return false;
 }
 
-bool Reducer::TryMergeRules(int stage, int i) {
+bool Reducer::MergeFrom(int stage, int i) {
   const UpdateOp& op = Op(i);
-  const NodeLabel& lab = op.target_label;
-  // Helper lambdas for the two lookup directions.
-  auto merge_same_target = [&](const char* rule, OpKind mine, OpKind other,
-                               OpKind result, bool mine_first,
-                               int shape) -> bool {
-    // shape: 0 = my op gives target/kind identity, 1 = partner does.
-    if (op.kind != mine) return false;
-    int j = FirstPartner(op.target, other, i);
-    if (j < 0) return false;
-    int shape_from = shape == 0 ? i : j;
-    if (mine_first) {
-      ApplyMerge(rule, result, shape_from, i, j);
-    } else {
-      ApplyMerge(rule, result, shape_from, j, i);
+  for (const MergeRule& rule : kMergeRules) {
+    if (rule.stage != stage) continue;
+    // Children are not indexed, so a parent or sibling rule is tried from
+    // its anchor only. A same-target rule is tried in both roles, anchor
+    // first — once if the roles are symmetric (I5).
+    bool both_roles =
+        rule.relation == kSameTarget && rule.kind1 != rule.kind2;
+    for (int role : {rule.anchor, 3 - rule.anchor}) {
+      OpKind partner_kind{};
+      NodeId chain = PartnerChain(rule, role, op, &partner_kind);
+      int j =
+          chain == kInvalidNode ? -1 : FirstPartner(chain, partner_kind, i);
+      if (j >= 0) {
+        int op1 = role == 1 ? i : j;
+        int op2 = role == 1 ? j : i;
+        // A symmetric rule keeps PUL listing order: the earlier op's
+        // parameters first (rank survives merging, so chained merges stay
+        // in order — matching the Table 3 worked example).
+        if (rule.kind1 == rule.kind2 && rank_[static_cast<size_t>(op2)] <
+                                            rank_[static_cast<size_t>(op1)]) {
+          std::swap(op1, op2);
+        }
+        ApplyMerge(rule, op1, op2);
+        return true;
+      }
+      if (!both_roles) break;
     }
-    return true;
-  };
-
-  switch (stage) {
-    case 1:
-      // I5: same insertion kind, same target.
-      if (pul::ClassOf(op.kind) == OpClass::kInsertion) {
-        int j = FirstPartner(op.target, op.kind, i);
-        if (j >= 0) {
-          // Keep PUL listing order: the earlier op's parameters first
-          // (rank survives merging, so chained merges stay in order —
-          // matching the Table 3 worked example).
-          bool i_first = rank_[static_cast<size_t>(i)] <
-                         rank_[static_cast<size_t>(j)];
-          int first = i_first ? i : j;
-          int second = i_first ? j : i;
-          ApplyMerge("I5", op.kind, first, first, second);
-          return true;
-        }
-      }
-      return false;
-    case 2:
-      // I6: insInto(v,L1) + insFirst(v,L2) -> insFirst(v,[L2,L1]).
-      if (merge_same_target("I6", OpKind::kInsInto, OpKind::kInsFirst,
-                            OpKind::kInsFirst, /*mine_first=*/false, 1)) {
-        return true;
-      }
-      return merge_same_target("I6", OpKind::kInsFirst, OpKind::kInsInto,
-                               OpKind::kInsFirst, /*mine_first=*/true, 0);
-    case 3:
-      // I7: insInto(v,L1) + insLast(v,L2) -> insLast(v,[L1,L2]).
-      if (merge_same_target("I7", OpKind::kInsInto, OpKind::kInsLast,
-                            OpKind::kInsLast, /*mine_first=*/true, 1)) {
-        return true;
-      }
-      return merge_same_target("I7", OpKind::kInsLast, OpKind::kInsInto,
-                               OpKind::kInsLast, /*mine_first=*/false, 0);
-    case 4:
-      // IR8: repN(v,L1) + insBefore(v,L2) -> repN(v,[L2,L1]).
-      // IR9: repN(v,L1) + insAfter(v,L2)  -> repN(v,[L1,L2]).
-      if (merge_same_target("IR8", OpKind::kReplaceNode, OpKind::kInsBefore,
-                            OpKind::kReplaceNode, /*mine_first=*/false, 0)) {
-        return true;
-      }
-      if (merge_same_target("IR8", OpKind::kInsBefore, OpKind::kReplaceNode,
-                            OpKind::kReplaceNode, /*mine_first=*/true, 1)) {
-        return true;
-      }
-      if (merge_same_target("IR9", OpKind::kReplaceNode, OpKind::kInsAfter,
-                            OpKind::kReplaceNode, /*mine_first=*/true, 0)) {
-        return true;
-      }
-      return merge_same_target("IR9", OpKind::kInsAfter, OpKind::kReplaceNode,
-                               OpKind::kReplaceNode, /*mine_first=*/false, 1);
-    case 5:
-      // I10: insInto(v,L1) + insBefore(v',L2), v' child of v
-      //      -> insBefore(v',[L1,L2]).
-      if (op.kind == OpKind::kInsBefore && lab.valid() &&
-          lab.parent != kInvalidNode &&
-          lab.type != NodeType::kAttribute) {
-        int j = FirstPartner(lab.parent, OpKind::kInsInto, i);
-        if (j >= 0) {
-          ApplyMerge("I10", OpKind::kInsBefore, i, j, i);
-          return true;
-        }
-      }
-      if (op.kind == OpKind::kInsInto) {
-        // Reverse direction: find an insBefore on one of v's children.
-        // Children are not indexed; rely on the child-side attempt above
-        // (every op passes through the worklist).
-      }
-      return false;
-    case 6:
-      // I11: insInto(v,L1) + insAfter(v',L2), v' child of v
-      //      -> insAfter(v',[L2,L1]).
-      if (op.kind == OpKind::kInsAfter && lab.valid() &&
-          lab.parent != kInvalidNode &&
-          lab.type != NodeType::kAttribute) {
-        int j = FirstPartner(lab.parent, OpKind::kInsInto, i);
-        if (j >= 0) {
-          ApplyMerge("I11", OpKind::kInsAfter, i, i, j);
-          return true;
-        }
-      }
-      return false;
-    case 7:
-      // IR12: repN(v,L1) + insInto(v',L2), v child of v'
-      //       -> repN(v,[L1,L2]).
-      if (op.kind == OpKind::kReplaceNode && lab.valid() &&
-          lab.parent != kInvalidNode &&
-          lab.type != NodeType::kAttribute) {
-        int j = FirstPartner(lab.parent, OpKind::kInsInto, i);
-        if (j >= 0) {
-          ApplyMerge("IR12", OpKind::kReplaceNode, i, i, j);
-          return true;
-        }
-      }
-      return false;
-    case 8: {
-      if (!lab.valid() || lab.parent == kInvalidNode) return false;
-      // IR13: repN(v,L1) + insA(v',L2), v attribute of v'
-      //       -> repN(v,[L1,L2]).
-      if (op.kind == OpKind::kReplaceNode &&
-          lab.type == NodeType::kAttribute) {
-        int j = FirstPartner(lab.parent, OpKind::kInsAttributes, i);
-        if (j >= 0) {
-          ApplyMerge("IR13", OpKind::kReplaceNode, i, i, j);
-          return true;
-        }
-      }
-      if (lab.type == NodeType::kAttribute) return false;
-      bool first_child = lab.left_sibling == kInvalidNode;
-      bool last_child = lab.is_last_child;
-      // I14: insBefore(v,L1) + insFirst(v',L2), v first child of v'
-      //      -> insBefore(v,[L2,L1]).
-      if (op.kind == OpKind::kInsBefore && first_child) {
-        int j = FirstPartner(lab.parent, OpKind::kInsFirst, i);
-        if (j >= 0) {
-          ApplyMerge("I14", OpKind::kInsBefore, i, j, i);
-          return true;
-        }
-      }
-      // I15: insAfter(v,L1) + insLast(v',L2), v last child of v'
-      //      -> insAfter(v,[L1,L2]).
-      if (op.kind == OpKind::kInsAfter && last_child) {
-        int j = FirstPartner(lab.parent, OpKind::kInsLast, i);
-        if (j >= 0) {
-          ApplyMerge("I15", OpKind::kInsAfter, i, i, j);
-          return true;
-        }
-      }
-      // IR16: repN(v,L1) + insFirst(v',L2), v first child -> repN(v,[L2,L1]).
-      if (op.kind == OpKind::kReplaceNode && first_child) {
-        int j = FirstPartner(lab.parent, OpKind::kInsFirst, i);
-        if (j >= 0) {
-          ApplyMerge("IR16", OpKind::kReplaceNode, i, j, i);
-          return true;
-        }
-      }
-      // IR17: repN(v,L1) + insLast(v',L2), v last child -> repN(v,[L1,L2]).
-      if (op.kind == OpKind::kReplaceNode && last_child) {
-        int j = FirstPartner(lab.parent, OpKind::kInsLast, i);
-        if (j >= 0) {
-          ApplyMerge("IR17", OpKind::kReplaceNode, i, i, j);
-          return true;
-        }
-      }
-      return false;
-    }
-    case 9: {
-      if (!lab.valid() || lab.type == NodeType::kAttribute) return false;
-      NodeId left = lab.left_sibling;
-      // I18: insBefore(v,L1) + insAfter(v',L2), v' left sibling of v
-      //      -> insBefore(v,[L2,L1]).
-      if (op.kind == OpKind::kInsBefore && left != kInvalidNode) {
-        int j = FirstPartner(left, OpKind::kInsAfter, i);
-        if (j >= 0) {
-          ApplyMerge("I18", OpKind::kInsBefore, i, j, i);
-          return true;
-        }
-      }
-      // IR19: repN(v,L1) + insAfter(v',L2), v' left sibling of v
-      //       -> repN(v,[L2,L1]). (Parameter order corrected from the
-      //       garbled figure; see DESIGN.md.)
-      if (op.kind == OpKind::kReplaceNode && left != kInvalidNode) {
-        int j = FirstPartner(left, OpKind::kInsAfter, i);
-        if (j >= 0) {
-          ApplyMerge("IR19", OpKind::kReplaceNode, i, j, i);
-          return true;
-        }
-      }
-      // IR20: repN(v,L1) + insBefore(v',L2), v left sibling of v'
-      //       -> repN(v,[L1,L2]). Looked up from the insBefore side.
-      if (op.kind == OpKind::kInsBefore && left != kInvalidNode) {
-        int j = FirstPartner(left, OpKind::kReplaceNode, i);
-        if (j >= 0) {
-          ApplyMerge("IR20", OpKind::kReplaceNode, j, j, i);
-          return true;
-        }
-      }
-      return false;
-    }
-    default:
-      return false;
   }
+  return false;
 }
 
 bool Reducer::SweepOverrides() {
@@ -522,7 +427,7 @@ bool Reducer::StageFixpoint(int stage) {
         EnqueueBucket(Op(i).target);
         continue;
       }
-      if (TryMergeRules(stage, i)) {
+      if (MergeFrom(stage, i)) {
         fired = true;
         any = true;
       }
@@ -578,165 +483,6 @@ const std::string& Reducer::OpKey(int i) {
   return key_cache_[idx];
 }
 
-void Reducer::CollectRulePairs(int stage, int rule,
-                               std::vector<PairApp>* out) {
-  std::vector<int> partners;
-  auto emit = [&](const char* name, int op1, int op2, OpKind result,
-                  int shape, int first, int second) {
-    out->push_back({name, op1, op2, result, shape, first, second});
-  };
-  for (size_t idx = 0; idx < NumOps(); ++idx) {
-    int i = static_cast<int>(idx);
-    if (!Alive(i)) continue;
-    const UpdateOp& op = Op(i);
-    const NodeLabel& lab = op.target_label;
-    partners.clear();
-    switch (stage * 10 + rule) {
-      case 10:  // I5: op1 and op2 same insertion kind, same target.
-        if (pul::ClassOf(op.kind) != OpClass::kInsertion) break;
-        FindPartners(op.target, op.kind, i, &partners);
-        for (int j : partners) emit("I5", i, j, op.kind, i, i, j);
-        break;
-      case 20:  // I6: insInto + insFirst(v) -> insFirst(v,[L2,L1])
-        if (op.kind != OpKind::kInsInto) break;
-        FindPartners(op.target, OpKind::kInsFirst, i, &partners);
-        for (int j : partners) emit("I6", i, j, OpKind::kInsFirst, j, j, i);
-        break;
-      case 30:  // I7: insInto + insLast(v) -> insLast(v,[L1,L2])
-        if (op.kind != OpKind::kInsInto) break;
-        FindPartners(op.target, OpKind::kInsLast, i, &partners);
-        for (int j : partners) emit("I7", i, j, OpKind::kInsLast, j, i, j);
-        break;
-      case 40:  // IR8: repN + insBefore(v) -> repN(v,[L2,L1])
-        if (op.kind != OpKind::kReplaceNode) break;
-        FindPartners(op.target, OpKind::kInsBefore, i, &partners);
-        for (int j : partners) emit("IR8", i, j, OpKind::kReplaceNode, i, j, i);
-        break;
-      case 41:  // IR9: repN + insAfter(v) -> repN(v,[L1,L2])
-        if (op.kind != OpKind::kReplaceNode) break;
-        FindPartners(op.target, OpKind::kInsAfter, i, &partners);
-        for (int j : partners) emit("IR9", i, j, OpKind::kReplaceNode, i, i, j);
-        break;
-      case 50:  // I10: insInto(v) + insBefore(v' child of v)
-        if (op.kind != OpKind::kInsBefore || !lab.valid() ||
-            lab.parent == kInvalidNode ||
-            lab.type == NodeType::kAttribute) {
-          break;
-        }
-        FindPartners(lab.parent, OpKind::kInsInto, i, &partners);
-        for (int j : partners) emit("I10", j, i, OpKind::kInsBefore, i, j, i);
-        break;
-      case 60:  // I11: insInto(v) + insAfter(v' child of v)
-        if (op.kind != OpKind::kInsAfter || !lab.valid() ||
-            lab.parent == kInvalidNode ||
-            lab.type == NodeType::kAttribute) {
-          break;
-        }
-        FindPartners(lab.parent, OpKind::kInsInto, i, &partners);
-        for (int j : partners) emit("I11", j, i, OpKind::kInsAfter, i, i, j);
-        break;
-      case 70:  // IR12: repN(v child of v') + insInto(v')
-        if (op.kind != OpKind::kReplaceNode || !lab.valid() ||
-            lab.parent == kInvalidNode ||
-            lab.type == NodeType::kAttribute) {
-          break;
-        }
-        FindPartners(lab.parent, OpKind::kInsInto, i, &partners);
-        for (int j : partners) emit("IR12", i, j, OpKind::kReplaceNode, i, i, j);
-        break;
-      case 80:  // IR13: repN(attribute v of v') + insA(v')
-        if (op.kind != OpKind::kReplaceNode || !lab.valid() ||
-            lab.parent == kInvalidNode ||
-            lab.type != NodeType::kAttribute) {
-          break;
-        }
-        FindPartners(lab.parent, OpKind::kInsAttributes, i, &partners);
-        for (int j : partners) emit("IR13", i, j, OpKind::kReplaceNode, i, i, j);
-        break;
-      case 81:  // I14: insBefore(first child v of v') + insFirst(v')
-        if (op.kind != OpKind::kInsBefore || !lab.valid() ||
-            lab.parent == kInvalidNode ||
-            lab.type == NodeType::kAttribute ||
-            lab.left_sibling != kInvalidNode) {
-          break;
-        }
-        FindPartners(lab.parent, OpKind::kInsFirst, i, &partners);
-        for (int j : partners) emit("I14", i, j, OpKind::kInsBefore, i, j, i);
-        break;
-      case 82:  // I15: insAfter(last child v of v') + insLast(v')
-        if (op.kind != OpKind::kInsAfter || !lab.valid() ||
-            lab.parent == kInvalidNode ||
-            lab.type == NodeType::kAttribute || !lab.is_last_child) {
-          break;
-        }
-        FindPartners(lab.parent, OpKind::kInsLast, i, &partners);
-        for (int j : partners) emit("I15", i, j, OpKind::kInsAfter, i, i, j);
-        break;
-      case 83:  // IR16: repN(first child v) + insFirst(parent)
-        if (op.kind != OpKind::kReplaceNode || !lab.valid() ||
-            lab.parent == kInvalidNode ||
-            lab.type == NodeType::kAttribute ||
-            lab.left_sibling != kInvalidNode) {
-          break;
-        }
-        FindPartners(lab.parent, OpKind::kInsFirst, i, &partners);
-        for (int j : partners) emit("IR16", i, j, OpKind::kReplaceNode, i, j, i);
-        break;
-      case 84:  // IR17: repN(last child v) + insLast(parent)
-        if (op.kind != OpKind::kReplaceNode || !lab.valid() ||
-            lab.parent == kInvalidNode ||
-            lab.type == NodeType::kAttribute || !lab.is_last_child) {
-          break;
-        }
-        FindPartners(lab.parent, OpKind::kInsLast, i, &partners);
-        for (int j : partners) emit("IR17", i, j, OpKind::kReplaceNode, i, i, j);
-        break;
-      case 90:  // I18: insBefore(v) + insAfter(left sibling of v)
-        if (op.kind != OpKind::kInsBefore || !lab.valid() ||
-            lab.type == NodeType::kAttribute ||
-            lab.left_sibling == kInvalidNode) {
-          break;
-        }
-        FindPartners(lab.left_sibling, OpKind::kInsAfter, i, &partners);
-        for (int j : partners) emit("I18", i, j, OpKind::kInsBefore, i, j, i);
-        break;
-      case 91:  // IR19: repN(v) + insAfter(left sibling of v)
-        if (op.kind != OpKind::kReplaceNode || !lab.valid() ||
-            lab.type == NodeType::kAttribute ||
-            lab.left_sibling == kInvalidNode) {
-          break;
-        }
-        FindPartners(lab.left_sibling, OpKind::kInsAfter, i, &partners);
-        for (int j : partners) emit("IR19", i, j, OpKind::kReplaceNode, i, j, i);
-        break;
-      case 92:  // IR20: repN(v) + insBefore(v', v left sibling of v')
-        if (op.kind != OpKind::kInsBefore || !lab.valid() ||
-            lab.type == NodeType::kAttribute ||
-            lab.left_sibling == kInvalidNode) {
-          break;
-        }
-        FindPartners(lab.left_sibling, OpKind::kReplaceNode, i, &partners);
-        for (int j : partners) emit("IR20", j, i, OpKind::kReplaceNode, j, j, i);
-        break;
-      default:
-        break;
-    }
-  }
-}
-
-int Reducer::RulesInStage(int stage) {
-  switch (stage) {
-    case 4:
-      return 2;
-    case 8:
-      return 5;
-    case 9:
-      return 3;
-    default:
-      return 1;
-  }
-}
-
 bool Reducer::CanonicalStageStep(int stage) {
   // Drops are order-insensitive: flush them first through the fast path.
   if (stage == 1) {
@@ -747,23 +493,36 @@ bool Reducer::CanonicalStageStep(int stage) {
     }
     if (dropped) return true;
   }
-  // Definition 9: per rule, fire the <p-minimal applicable ordered pair.
-  std::vector<PairApp> pairs;
-  for (int rule = 0; rule < RulesInStage(stage); ++rule) {
-    pairs.clear();
-    CollectRulePairs(stage, rule, &pairs);
-    if (pairs.empty()) continue;
-    const PairApp* best = &pairs[0];
-    for (const PairApp& cand : pairs) {
-      if (OpKey(cand.op1) < OpKey(best->op1) ||
-          (OpKey(cand.op1) == OpKey(best->op1) &&
-           OpKey(cand.op2) < OpKey(best->op2))) {
-        best = &cand;
+  // Definition 9: fire the <p-minimal pair of the first rule that has
+  // one. Pairs are ordered by OpKey(op1), then OpKey(op2); the strict <
+  // keeps the first pair in scan order on a tie. A symmetric rule (I5)
+  // meets each pair in both orders, so op1 is the <p-smaller op.
+  for (const MergeRule& rule : kMergeRules) {
+    if (rule.stage != stage) continue;
+    int best1 = -1;
+    int best2 = -1;
+    for (size_t idx = 0; idx < NumOps(); ++idx) {
+      int i = static_cast<int>(idx);
+      if (!Alive(i)) continue;
+      OpKind partner_kind{};
+      NodeId chain = PartnerChain(rule, rule.anchor, Op(i), &partner_kind);
+      if (chain == kInvalidNode) continue;
+      for (int32_t j = by_target_.Head(chain); j >= 0;
+           j = by_target_.Next(j)) {
+        if (j == i || !Alive(j) || Op(j).kind != partner_kind) continue;
+        int op1 = rule.anchor == 1 ? i : j;
+        int op2 = rule.anchor == 1 ? j : i;
+        if (best1 < 0 || OpKey(op1) < OpKey(best1) ||
+            (OpKey(op1) == OpKey(best1) && OpKey(op2) < OpKey(best2))) {
+          best1 = op1;
+          best2 = op2;
+        }
       }
     }
-    ApplyMerge(best->rule, best->result, best->shape, best->first,
-               best->second);
-    return true;
+    if (best1 >= 0) {
+      ApplyMerge(rule, best1, best2);
+      return true;
+    }
   }
   return false;
 }
@@ -926,7 +685,7 @@ Result<pul::Pul> Reduce(const pul::Pul& input, const ReduceOptions& options,
       std::vector<std::string> ids;
       ids.reserve(components[s].size());
       for (int g : components[s]) {
-        ids.push_back("#" + std::to_string(g));
+        ids.push_back(obs::RankId(static_cast<size_t>(g)));
         lane_of_rank[static_cast<size_t>(g)] = &lanes[s];
       }
       lanes[s].Emit(obs::EventKind::kShardAssigned, "shard", std::move(ids));
@@ -1003,7 +762,7 @@ Result<pul::Pul> Reduce(const pul::Pul& input, const ReduceOptions& options,
     for (size_t j = 0; j < survivors.size(); ++j) {
       merge_lane.Emit(obs::EventKind::kOpSurvived,
                       pul::OpKindName(survivors[j].op->kind),
-                      {"#" + std::to_string(survivors[j].rank)},
+                      {obs::RankId(survivors[j].rank)},
                       "out#" + std::to_string(j));
     }
   }
@@ -1025,13 +784,6 @@ Result<pul::Pul> Reduce(const pul::Pul& input, ReduceMode mode) {
   ReduceOptions options;
   options.mode = mode;
   return Reduce(input, options, nullptr);
-}
-
-Result<pul::Pul> ReduceWithStats(const pul::Pul& input, ReduceMode mode,
-                                 ReduceStats* stats) {
-  ReduceOptions options;
-  options.mode = mode;
-  return Reduce(input, options, stats);
 }
 
 }  // namespace xupdate::core

@@ -48,10 +48,6 @@ struct ReduceStats {
   size_t shards = 0;
 };
 
-[[nodiscard]] Result<pul::Pul> ReduceWithStats(const pul::Pul& input,
-                                               ReduceMode mode,
-                                               ReduceStats* stats);
-
 struct ReduceOptions {
   ReduceMode mode = ReduceMode::kPlain;
   // Worker threads. At 1 (the default) the whole PUL is one chunk and

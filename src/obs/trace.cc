@@ -25,6 +25,17 @@ constexpr KindName kKindNames[] = {
 
 }  // namespace
 
+std::string RankId(size_t rank) {
+  return std::string("#").append(std::to_string(rank));
+}
+
+std::string RefId(int64_t pul, int64_t op) {
+  return std::string("P")
+      .append(std::to_string(pul))
+      .append("#")
+      .append(std::to_string(op));
+}
+
 std::string_view EventKindName(EventKind kind) {
   for (const KindName& k : kKindNames) {
     if (k.kind == kind) return k.name;

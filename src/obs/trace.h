@@ -47,6 +47,12 @@ enum class EventKind : uint8_t {
   kNote,              // free-form bookkeeping (input inventories etc.)
 };
 
+// Stable operation ids for event `ops`/`result` fields: "#<rank>" for a
+// listing rank within one PUL (reduce), "P<pul>#<op>" for operation `op`
+// of input PUL `pul` (integrate, reconcile, aggregate, analyze).
+std::string RankId(size_t rank);
+std::string RefId(int64_t pul, int64_t op);
+
 // Stable wire names ("rule-fired", ...) used by the sinks and `explain`.
 std::string_view EventKindName(EventKind kind);
 // Inverse of EventKindName; false if `name` is not a known kind.

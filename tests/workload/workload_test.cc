@@ -65,7 +65,7 @@ TEST_F(WorkloadTest, ReducibleFractionDrivesRuleApplications) {
   ASSERT_TRUE(pul.ok()) << pul.status();
   core::ReduceStats stats;
   auto reduced =
-      core::ReduceWithStats(*pul, core::ReduceMode::kPlain, &stats);
+      core::Reduce(*pul, {.mode = core::ReduceMode::kPlain}, &stats);
   ASSERT_TRUE(reduced.ok()) << reduced.status();
   // Expect roughly 100 rule applications (generated pairs may interact,
   // so allow a broad band).
@@ -79,7 +79,7 @@ TEST_F(WorkloadTest, ReducibleFractionDrivesRuleApplications) {
   ASSERT_TRUE(plain.ok());
   core::ReduceStats none;
   ASSERT_TRUE(
-      core::ReduceWithStats(*plain, core::ReduceMode::kPlain, &none).ok());
+      core::Reduce(*plain, {.mode = core::ReduceMode::kPlain}, &none).ok());
   EXPECT_LT(none.rule_applications, stats.rule_applications);
 }
 

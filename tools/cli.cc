@@ -632,12 +632,6 @@ Status CmdAnalyze(const Args& args, std::ostream& out) {
   if (WantTrace(args)) {
     lane = tracer.Lane(tracer.NextPhase(), 0, "analyze");
   }
-  auto ref = [](size_t pul, int op) {
-    return std::string("P")
-        .append(std::to_string(pul))
-        .append("#")
-        .append(std::to_string(op));
-  };
   std::ostringstream json;
   json << "{\"puls\":[";
   for (size_t i = 0; i < puls.size(); ++i) {
@@ -660,8 +654,8 @@ Status CmdAnalyze(const Args& args, std::ostream& out) {
         analysis::PredictReduction(puls[i]);
     if (lane.enabled()) {
       for (const analysis::Diagnostic& d : lint) {
-        std::vector<std::string> ops = {ref(i, d.op_index)};
-        if (d.related_op >= 0) ops.push_back(ref(i, d.related_op));
+        std::vector<std::string> ops = {obs::RefId(i, d.op_index)};
+        if (d.related_op >= 0) ops.push_back(obs::RefId(i, d.related_op));
         lane.Emit(obs::EventKind::kNote, "lint", std::move(ops), d.code,
                   d.message);
       }
@@ -700,8 +694,8 @@ Status CmdAnalyze(const Args& args, std::ostream& out) {
       }
       if (lane.enabled()) {
         std::vector<std::string> ops;
-        if (verdict.op_a >= 0) ops.push_back(ref(i, verdict.op_a));
-        if (verdict.op_b >= 0) ops.push_back(ref(j, verdict.op_b));
+        if (verdict.op_a >= 0) ops.push_back(obs::RefId(i, verdict.op_a));
+        if (verdict.op_b >= 0) ops.push_back(obs::RefId(j, verdict.op_b));
         lane.Emit(
             obs::EventKind::kNote, "independence", std::move(ops),
             std::string(analysis::IndependenceVerdictName(verdict.verdict)),
